@@ -70,15 +70,17 @@
 // pages rehome after RehomeCycles of foreign execution — first-touch
 // memory with AutoNUMA-style page migration).
 //
-// The O(1) scheduler is topology-aware, mirroring the 2.5→2.6
-// sched_domains evolution: idle steal exhausts in-domain victims before
-// crossing, a cross-domain steal requires a real imbalance rather than a
-// lone queued task, the periodic balancer demands a doubled imbalance
-// threshold across domains and then pulls a batch to amortize the
-// interconnect refill, and a starvation guard force-swaps the arrays
-// when the expired array has waited too long. O1Config exposes the knobs
-// (TopologyBlind is the ablation baseline); the experiments package
-// regenerates the numa table and the domain-awareness ablation.
+// The O(1) and CFS schedulers share one topology-aware balancer,
+// mirroring the 2.5→2.6 sched_domains evolution: idle steal exhausts
+// in-domain victims before crossing, a cross-domain steal requires a
+// real imbalance rather than a lone queued task, and the periodic
+// balancer demands a doubled imbalance threshold across domains and then
+// pulls a batch to amortize the interconnect refill. Each policy only
+// chooses which task leaves a queue and how it is filed on arrival. The
+// O(1) scheduler also carries a starvation guard that force-swaps the
+// arrays when the expired array has waited too long. O1Config exposes
+// its knobs (TopologyBlind is the ablation baseline); the experiments
+// package regenerates the numa table and the domain-awareness ablation.
 //
 // # Interactivity
 //

@@ -54,9 +54,8 @@ func DefaultCostModel() CostModel { return sched.DefaultCostModel() }
 type ELSCConfig = elsc.Config
 
 // O1Config re-exports the O(1) scheduler's knobs for ablation studies:
-// the balancing set (topology blindness, cross-domain imbalance
-// threshold and batch size, expired starvation limit) and the
-// interactivity set (InteractivityOff, InteractiveDelta,
+// the balancing set (topology blindness, expired starvation limit) and
+// the interactivity set (InteractivityOff, InteractiveDelta,
 // GranularityTicks, WakeIdleOff — the sleep_avg bonus machinery and
 // SD_WAKE_IDLE wake placement).
 type O1Config = o1.Config
@@ -75,7 +74,7 @@ type MachineConfig struct {
 	// domains (contiguous, as even as possible). 0 or 1 leaves the
 	// machine flat: no dispatch is ever cross-domain. A migration that
 	// crosses a domain pays the cost model's CrossDomainRefillMax
-	// instead of CacheRefillMax, and domain-aware policies (O1) keep
+	// instead of CacheRefillMax, and domain-aware policies (O1, CFS) keep
 	// load balancing inside a domain when they can.
 	CacheDomains int
 	// Scheduler picks the policy (default ELSC).
@@ -243,6 +242,8 @@ var (
 	ErrCPUOnline = kernel.ErrCPUOnline
 	// ErrLastCPU: refusing to offline the only online CPU.
 	ErrLastCPU = kernel.ErrLastCPU
+	// ErrNoSuchCPU: the id names no processor of the machine.
+	ErrNoSuchCPU = kernel.ErrNoSuchCPU
 )
 
 // OfflineCPU hot-unplugs a processor mid-run: its running task is

@@ -1,6 +1,7 @@
 package elsc_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -201,6 +202,22 @@ func TestFacadePS(t *testing.T) {
 	m.RunUntilAllExit()
 	if !strings.Contains(m.PS(), "visible-task") {
 		t.Fatal("PS missing the spawned task")
+	}
+}
+
+func TestFacadeHotplugRejectsBadCPUIDs(t *testing.T) {
+	const ncpu = 4
+	m := elsc.NewMachine(elsc.MachineConfig{CPUs: ncpu, SMP: true, Scheduler: elsc.O1, Seed: 9})
+	for _, id := range []int{-1, ncpu, 99} {
+		if err := m.OfflineCPU(id); !errors.Is(err, elsc.ErrNoSuchCPU) {
+			t.Fatalf("OfflineCPU(%d): err = %v, want ErrNoSuchCPU", id, err)
+		}
+		if err := m.OnlineCPU(id); !errors.Is(err, elsc.ErrNoSuchCPU) {
+			t.Fatalf("OnlineCPU(%d): err = %v, want ErrNoSuchCPU", id, err)
+		}
+	}
+	if m.OnlineCount() != ncpu {
+		t.Fatalf("online count = %d after rejected calls, want %d", m.OnlineCount(), ncpu)
 	}
 }
 

@@ -231,7 +231,7 @@ type VolanoRun struct {
 }
 
 // domainStealer is implemented by policies whose balancer counts its own
-// intra- versus cross-domain moves (o1).
+// intra- versus cross-domain moves (o1, cfs: the shared sched.Balancer).
 type domainStealer interface {
 	DomainSteals() (intra, cross uint64)
 }

@@ -16,6 +16,8 @@ var (
 	ErrCPUOnline = errors.New("kernel: CPU already online")
 	// ErrLastCPU: OfflineCPU would leave the machine with no processor.
 	ErrLastCPU = errors.New("kernel: cannot offline the last online CPU")
+	// ErrNoSuchCPU: the id names no processor of this machine.
+	ErrNoSuchCPU = errors.New("kernel: no such CPU")
 )
 
 // OfflineCPU hot-unplugs processor id, like Linux's cpu_down: the running
@@ -30,10 +32,11 @@ var (
 //
 // Call from between-events contexts only (an engine event callback or
 // between Run calls), never from inside a syscall effect. The last online
-// CPU refuses with ErrLastCPU.
+// CPU refuses with ErrLastCPU, an id outside the machine with
+// ErrNoSuchCPU.
 func (m *Machine) OfflineCPU(id int) error {
 	if id < 0 || id >= len(m.cpus) {
-		panic("kernel: OfflineCPU out of range")
+		return ErrNoSuchCPU
 	}
 	c := m.cpus[id]
 	if !c.online {
@@ -115,7 +118,7 @@ func (m *Machine) OfflineCPU(id int) error {
 // (the online mask bit is what the policies consult).
 func (m *Machine) OnlineCPU(id int) error {
 	if id < 0 || id >= len(m.cpus) {
-		panic("kernel: OnlineCPU out of range")
+		return ErrNoSuchCPU
 	}
 	c := m.cpus[id]
 	if c.online {

@@ -26,12 +26,13 @@
 // granularity, delivered through the task counter so the kernel's
 // ordinary quantum-expiry machinery ends the slice.
 //
-// Balancing reuses the topology-aware shape of the o1 policy: an idle
-// CPU steals the greatest-lag (minimum-vruntime) movable task, in-domain
-// victims first and cross-domain only from longer queues; a periodic
-// imbalance pull moves batches across domains. A migrating task's
-// vruntime is renormalized from the victim queue's min_vruntime to the
-// thief's, so cross-queue clock skew never turns into a fairness bug.
+// Balancing is the shared topology-aware sched.Balancer, the same one o1
+// runs: idle steal and periodic pull, in-domain victims first, a larger
+// imbalance and a batched move across domains. This policy's queue
+// adapter offers a victim's best real-time task, then its greatest-lag
+// (minimum-vruntime) fair task, and renormalizes a migrating task's
+// vruntime from the victim queue's min_vruntime to the thief's, so
+// cross-queue clock skew never turns into a fairness bug.
 package cfs
 
 import (
@@ -58,13 +59,6 @@ const (
 	// (highest rt_priority) at index 0 as in the o1 arrays.
 	rtLevels = task.MaxRTPriority + 1
 	rtWords  = (rtLevels + 63) / 64
-
-	// balanceEvery / balanceImbalance / crossStealMin mirror the o1
-	// balancer: periodic pulls every 32 schedules past a 2-task gap, and
-	// no cross-domain idle steal from a single-task victim.
-	balanceEvery     = 32
-	balanceImbalance = 2
-	crossStealMin    = 2
 )
 
 // weightOf maps a static priority onto the CFS prio_to_weight table:
@@ -253,8 +247,7 @@ type runqueue struct {
 	minVR uint64
 	maxVR uint64
 
-	weight       uint64
-	sinceBalance int
+	weight uint64
 
 	// order tie-break counters: MoveFirst hands out ever-smaller front
 	// orders, ordinary enqueues and MoveLast ever-larger back orders.
@@ -270,23 +263,20 @@ type runqueue struct {
 
 func (rq *runqueue) len() int { return rq.fair.len() + rq.rt.count }
 
-// CPUSteals is one CPU's balancer activity, split by cache domain —
-// the shared sched.CPUSteals shape schedtrace renders.
-type CPUSteals = sched.CPUSteals
-
 // Sched is the weighted-vruntime fair scheduler. Create with New.
 type Sched struct {
+	// Balancer moves tasks between the per-CPU queues and counts the
+	// moves by cache domain.
+	sched.Balancer
+
 	env   *sched.Env
 	cfg   Config
-	topo  *sched.Topology
 	rqs   []runqueue
 	total int
 
 	// vruntime-denominated tunables, derived from Config.TickCycles.
 	sleeperBonus uint64 // placement clamp: one latency period
 	wakeGran     uint64 // wakeup/tick preemption hysteresis: half a tick
-
-	steals []CPUSteals
 }
 
 // New returns a fair scheduler bound to env with the default config.
@@ -299,14 +289,10 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 		env:          env,
 		cfg:          cfg,
 		rqs:          make([]runqueue, env.NCPU),
-		steals:       make([]CPUSteals, env.NCPU),
 		sleeperBonus: periodTicks * cfg.TickCycles,
 		wakeGran:     cfg.TickCycles / 8,
 	}
-	s.topo = env.Topo
-	if s.topo == nil {
-		s.topo = sched.FlatTopology(env.NCPU)
-	}
+	s.Balancer = sched.NewBalancer(env, env.Topo, (*queues)(s))
 	for i := range s.rqs {
 		s.rqs[i].rt.init()
 	}
@@ -319,53 +305,44 @@ func (s *Sched) Name() string { return "cfs" }
 // PerCPU marks the policy as using per-CPU run-queue locks.
 func (s *Sched) PerCPU() bool { return true }
 
-// DomainSteals reports tasks the balancer moved within and across cache
-// domains, machine-wide — the numa experiment's per-policy columns.
-func (s *Sched) DomainSteals() (intra, cross uint64) {
-	for i := range s.steals {
-		intra += s.steals[i].Intra
-		cross += s.steals[i].Cross
-	}
-	return intra, cross
-}
-
-// PerCPUSteals returns a copy of the per-CPU steal counters, indexed by
-// the stealing CPU — the breakdown schedtrace renders per domain.
-func (s *Sched) PerCPUSteals() []CPUSteals {
-	return append([]CPUSteals(nil), s.steals...)
-}
-
 // MinVR exposes a queue's monotone min_vruntime, for tests.
 func (s *Sched) MinVR(cpu int) uint64 { return s.rqs[cpu].minVR }
 
 // QueueLen returns CPU q's queued tasks (fair + real-time), for tests.
 func (s *Sched) QueueLen(q int) int { return s.rqs[q].len() }
 
-// homeOf picks the queue for t: its last CPU when the affinity mask
-// allows it and the CPU is online, otherwise the least-loaded allowed
-// online queue, falling back to the first online queue.
-func (s *Sched) homeOf(t *task.Task) int {
-	if t.EverRan && t.Processor < len(s.rqs) && t.AllowedOn(t.Processor) && s.env.CPUOnline(t.Processor) {
-		return t.Processor
+// queues is the Sched seen as the balancer's queue adapter.
+type queues Sched
+
+func (q *queues) Len(cpu int) int { return q.rqs[cpu].len() }
+
+// Movable offers the victim's best pickable real-time task, then its
+// minimum-vruntime (greatest-lag) fair task — the one the victim owes the
+// most CPU, so moving it helps fairness machine-wide, not just
+// throughput.
+func (q *queues) Movable(victim, cpu int, res *sched.Result) *task.Task {
+	s := (*Sched)(q)
+	if t := s.pickRT(&s.rqs[victim], cpu, res); t != nil {
+		return t
 	}
-	best := -1
-	for i := range s.rqs {
-		if !t.AllowedOn(i) || !s.env.CPUOnline(i) {
-			continue
-		}
-		if best < 0 || s.rqs[i].len() < s.rqs[best].len() {
-			best = i
-		}
+	return s.pickFair(&s.rqs[victim], cpu, res)
+}
+
+// Migrate re-files t on cpu's queue, its vruntime renormalized from the
+// victim's clock to cpu's (dequeue never moves min_vruntime, so the order
+// is free). A stolen task goes to the front, so the thief's post-dispatch
+// bookkeeping (minVR, curr) lands on its own queue; a pulled one waits at
+// the tail.
+func (q *queues) Migrate(t *task.Task, victim, cpu int, steal bool, res *sched.Result) {
+	s := (*Sched)(q)
+	s.DelFromRunqueue(t)
+	if t.RealTime() {
+		s.enqueueRT(t, cpu, steal)
+	} else {
+		s.renorm(t, s.rqs[victim].minVR, &s.rqs[cpu])
+		s.enqueueFair(t, cpu, steal)
 	}
-	if best < 0 {
-		for i := range s.rqs {
-			if s.env.CPUOnline(i) {
-				return i
-			}
-		}
-		best = 0
-	}
-	return best
+	res.Cycles += s.env.Cost.MoveRunqueue + s.logCost(cpu)
 }
 
 // placeClamp applies the new-task/wake placement rule: a task whose
@@ -426,9 +403,9 @@ func (s *Sched) enqueueRT(t *task.Task, cpu int, front bool) {
 }
 
 // AddToRunqueue files a newly runnable task on its home CPU's queue,
-// applying the sleeper clamp to fair tasks. A task homeOf re-homes away
-// from its last CPU (offline, affinity change) is renormalized to the
-// new queue's clock first — placeClamp only bounds the lagging side, so
+// applying the sleeper clamp to fair tasks. A task sched.Home re-homes
+// away from its last CPU (offline, affinity change) is renormalized to
+// the new queue's clock first — placeClamp only bounds the lagging side, so
 // without the rebase a vruntime earned on a fast-clock queue would park
 // the task far ahead of the new queue.
 func (s *Sched) AddToRunqueue(t *task.Task) {
@@ -438,7 +415,7 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 	if t.QZero {
 		return
 	}
-	cpu := s.homeOf(t)
+	cpu := sched.Home(s.env, (*queues)(s), t)
 	if t.RealTime() {
 		s.enqueueRT(t, cpu, true)
 		return
@@ -606,7 +583,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			rrExpired = true
 		}
 		if prev.Runnable() && !prev.QZero {
-			home := s.homeOf(prev)
+			home := sched.Home(s.env, (*queues)(s), prev)
 			hrq := &s.rqs[home]
 			switch {
 			case prev.RealTime():
@@ -635,17 +612,10 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 		}
 	}
 
-	if env.NCPU > 1 {
-		rq.sinceBalance++
-		if rq.sinceBalance >= balanceEvery {
-			rq.sinceBalance = 0
-			s.pullBalance(cpu, &res)
-		}
-	}
-
+	s.Rebalance(cpu, &res)
 	best := s.pickLocal(cpu, &res)
 	if best == nil {
-		best = s.steal(cpu, &res)
+		best = s.Steal(cpu, &res)
 	}
 	if best == nil {
 		return res
@@ -679,8 +649,8 @@ func pickable(t *task.Task, cpu int) bool {
 
 // pickLocal selects from cpu's own queue: best real-time level first,
 // then the fair heap root. When the root is unpickable (running
-// elsewhere mid-claim, or an affinity straggler homeOf's fallback filed
-// here) the heap array is scanned for the minimum pickable entry.
+// elsewhere mid-claim, or an affinity straggler sched.Home's fallback
+// filed here) the heap array is scanned for the minimum pickable entry.
 func (s *Sched) pickLocal(cpu int, res *sched.Result) *task.Task {
 	if t := s.pickRT(&s.rqs[cpu], cpu, res); t != nil {
 		return t
@@ -836,153 +806,4 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 		return true, false
 	}
 	return false, false
-}
-
-// steal takes the greatest-lag movable task from another queue — the
-// idle-balance path, hierarchical like o1's: victims inside the thief's
-// cache domain are exhausted before any cross-domain queue is touched,
-// and a cross-domain steal requires the victim to hold at least
-// crossStealMin tasks.
-func (s *Sched) steal(cpu int, res *sched.Result) *task.Task {
-	if t := s.stealTier(cpu, res, true); t != nil {
-		return t
-	}
-	if s.topo.NumDomains() == 1 {
-		return nil
-	}
-	return s.stealTier(cpu, res, false)
-}
-
-func (s *Sched) stealTier(cpu int, res *sched.Result, local bool) *task.Task {
-	minLen := 1
-	if !local {
-		minLen = crossStealMin
-	}
-	eligible := func(i int) bool {
-		return s.topo.SameDomain(i, cpu) == local && s.rqs[i].len() >= minLen
-	}
-	first := s.busiestWhere(cpu, 0, eligible)
-	if first < 0 {
-		return nil
-	}
-	if t := s.stealFrom(first, cpu, res); t != nil {
-		return t
-	}
-	for i := range s.rqs {
-		if i == cpu || i == first || !eligible(i) {
-			continue
-		}
-		if t := s.stealFrom(i, cpu, res); t != nil {
-			return t
-		}
-	}
-	return nil
-}
-
-// stealFrom scans one victim queue for a movable task: its best pickable
-// real-time task first, then its minimum-vruntime (greatest-lag) fair
-// task — the one the victim owes the most CPU, so moving it helps
-// fairness machine-wide, not just throughput. The task is left queued on
-// the victim; Schedule dequeues it after the renorm.
-func (s *Sched) stealFrom(victim, cpu int, res *sched.Result) *task.Task {
-	res.Cycles += s.env.Cost.LockOp
-	vrq := &s.rqs[victim]
-	t := s.pickRT(vrq, cpu, res)
-	if t == nil {
-		t = s.pickFair(vrq, cpu, res)
-	}
-	if t == nil {
-		return nil
-	}
-	if !t.RealTime() {
-		s.renorm(t, vrq.minVR, &s.rqs[cpu])
-	}
-	s.noteMove(cpu, victim)
-	// Re-home the stolen task so the post-dispatch bookkeeping (minVR,
-	// curr) lands on the thief's queue: move it across now.
-	s.DelFromRunqueue(t)
-	if t.RealTime() {
-		s.enqueueRT(t, cpu, true)
-	} else {
-		s.enqueueFair(t, cpu, true)
-	}
-	res.Cycles += s.env.Cost.MoveRunqueue + s.logCost(cpu)
-	return t
-}
-
-func (s *Sched) noteMove(cpu, victim int) {
-	if s.topo.SameDomain(cpu, victim) {
-		s.steals[cpu].Intra++
-	} else {
-		s.steals[cpu].Cross++
-	}
-}
-
-func (s *Sched) busiestWhere(cpu, floor int, ok func(i int) bool) int {
-	victim := -1
-	most := floor
-	for i := range s.rqs {
-		if i == cpu || !ok(i) {
-			continue
-		}
-		if n := s.rqs[i].len(); n > most {
-			most = n
-			victim = i
-		}
-	}
-	return victim
-}
-
-// pullBalance is the periodic balancer: an in-domain victim past the
-// balanceImbalance gap loses one task; with no in-domain imbalance a
-// cross-domain victim is considered past a doubled 2*balanceImbalance
-// gap and then a batch moves at once, amortizing the interconnect refill.
-func (s *Sched) pullBalance(cpu int, res *sched.Result) {
-	rq := &s.rqs[cpu]
-	inDomain := func(i int) bool { return s.topo.SameDomain(i, cpu) }
-	if victim := s.busiestWhere(cpu, rq.len()+balanceImbalance-1, inDomain); victim >= 0 {
-		s.pullFrom(victim, cpu, 1, res)
-		return
-	}
-	if s.topo.NumDomains() == 1 {
-		return
-	}
-	outDomain := func(i int) bool { return !s.topo.SameDomain(i, cpu) }
-	victim := s.busiestWhere(cpu, rq.len()+2*balanceImbalance-1, outDomain)
-	if victim < 0 {
-		return
-	}
-	batch := (s.rqs[victim].len() - rq.len()) / 2
-	if batch > 4 {
-		batch = 4
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	s.pullFrom(victim, cpu, batch, res)
-}
-
-// pullFrom moves up to max movable tasks from victim's queue to cpu,
-// greatest-lag first, renormalizing each one's virtual clock.
-func (s *Sched) pullFrom(victim, cpu, max int, res *sched.Result) {
-	res.Cycles += s.env.Cost.LockOp
-	vrq := &s.rqs[victim]
-	for moved := 0; moved < max; moved++ {
-		t := s.pickRT(vrq, cpu, res)
-		if t == nil {
-			t = s.pickFair(vrq, cpu, res)
-		}
-		if t == nil {
-			return
-		}
-		s.DelFromRunqueue(t)
-		if t.RealTime() {
-			s.enqueueRT(t, cpu, false)
-		} else {
-			s.renorm(t, vrq.minVR, &s.rqs[cpu])
-			s.enqueueFair(t, cpu, false)
-		}
-		res.Cycles += s.env.Cost.MoveRunqueue + s.logCost(cpu)
-		s.noteMove(cpu, victim)
-	}
 }

@@ -296,8 +296,8 @@ func TestTickPreemptRTLevelComparison(t *testing.T) {
 	}
 }
 
-// TestAddToRunqueueRenormsOnRehome: a task homeOf re-homes away from its
-// last CPU (offlined here) carries a vruntime relative to that queue's
+// TestAddToRunqueueRenormsOnRehome: a task sched.Home re-homes away from
+// its last CPU (offlined here) carries a vruntime relative to that queue's
 // fast clock; AddToRunqueue must rebase it to the new queue's clock
 // preserving the lag, exactly as PlaceWake does — placeClamp alone only
 // bounds the lagging side and would park the task far in the new
@@ -320,6 +320,58 @@ func TestAddToRunqueueRenormsOnRehome(t *testing.T) {
 	}
 	if want := s.rqs[0].minVR + 1000; tk.VRuntime != want {
 		t.Fatalf("re-homed vruntime = %d, want lag-preserving rebase to %d", tk.VRuntime, want)
+	}
+}
+
+// TestMigrationKeepsLagToMinVR: the shared balancer moves fair tasks
+// through this policy's queue adapter, which must rebase each one's
+// vruntime from the victim queue's clock to the thief's. A task that
+// trailed or led its old queue's min_vruntime by d must trail or lead
+// the new queue's by the same d, whether a periodic pull or an idle
+// steal moved it.
+func TestMigrationKeepsLagToMinVR(t *testing.T) {
+	const d = 2000
+	homed := func(env *sched.Env, id int, vr uint64) *task.Task {
+		tk := mkTask(env, id, 20, 4)
+		tk.EverRan = true
+		tk.Processor = 1
+		tk.VRuntime = vr
+		return tk
+	}
+
+	// Pull: queue 1 holds three tasks, queue 0 none. The pull takes the
+	// greatest-lag task, d behind queue 1's clock.
+	env := sched.NewEnv(2, true, func() int { return 3 })
+	s := New(env)
+	s.rqs[1].minVR = 50 * s.sleeperBonus
+	s.rqs[0].minVR = 3 * s.sleeperBonus
+	lagging := homed(env, 1, s.rqs[1].minVR-d)
+	s.AddToRunqueue(lagging)
+	s.AddToRunqueue(homed(env, 2, s.rqs[1].minVR+d))
+	s.AddToRunqueue(homed(env, 3, s.rqs[1].minVR+2*d))
+	var res sched.Result
+	s.Pull(0, &res)
+	if s.QueueLen(0) != 1 || lagging.QIndex != 0 {
+		t.Fatalf("pull moved the wrong task: queue0=%d lagging.QIndex=%d", s.QueueLen(0), lagging.QIndex)
+	}
+	if want := s.rqs[0].minVR - d; lagging.VRuntime != want {
+		t.Fatalf("pulled vruntime = %d, want %d (d behind the thief's clock)", lagging.VRuntime, want)
+	}
+
+	// Steal: an idle CPU 0 takes the only task, d ahead of queue 1's
+	// clock, and dispatches it at once.
+	env = sched.NewEnv(2, true, func() int { return 1 })
+	s = New(env)
+	s.rqs[1].minVR = 50 * s.sleeperBonus
+	s.rqs[0].minVR = 3 * s.sleeperBonus
+	thiefVR := s.rqs[0].minVR
+	leading := homed(env, 1, s.rqs[1].minVR+d)
+	s.AddToRunqueue(leading)
+	if got := s.Schedule(0, mkIdle(0)).Next; got != leading {
+		t.Fatalf("idle CPU 0 picked %v, want the stolen task", got)
+	}
+	if want := thiefVR + d; leading.VRuntime != want {
+		t.Fatalf("stolen vruntime = %d, want %d (d ahead of the thief's clock)", leading.VRuntime, want)
 	}
 }
 

@@ -75,7 +75,7 @@ type CostModel struct {
 	// the interconnect from a foreign last-level cache or remote memory,
 	// so it dwarfs the intra-domain CacheRefillMax. This is what makes
 	// topology-blind balancing expensive on the NUMA-style specs and
-	// what the o1 scheduler's hierarchical steal exists to avoid.
+	// what the hierarchical sched.Balancer exists to avoid.
 	CrossDomainRefillMax uint64
 
 	// RemoteAccessPct is the sustained cost of NUMA-style domains: a

@@ -59,34 +59,10 @@ func (s *Sched) Name() string { return "mq" }
 // PerCPU marks the policy as using per-CPU run-queue locks.
 func (s *Sched) PerCPU() bool { return true }
 
-// homeOf picks the queue for t: its last CPU, or the least-loaded online
-// queue for a task that has never run. Offline CPUs' queues are drained at
-// hotplug and must stay empty, so they are never a home.
-func (s *Sched) homeOf(t *task.Task) int {
-	if last := t.Processor % len(s.queues); t.EverRan && t.AllowedOn(last) && s.env.CPUOnline(last) {
-		return last
-	}
-	best := -1
-	for i, c := range s.counts {
-		if !t.AllowedOn(i) || !s.env.CPUOnline(i) {
-			continue
-		}
-		if best < 0 || c < s.counts[best] {
-			best = i
-		}
-	}
-	if best < 0 {
-		// Inconsistent mask (or it names only offline CPUs): fall back to
-		// the first online queue rather than lose the task.
-		for i := range s.counts {
-			if s.env.CPUOnline(i) {
-				return i
-			}
-		}
-		best = 0
-	}
-	return best
-}
+// queues is the Sched seen as sched.Home's queue-length adapter.
+type queues Sched
+
+func (q *queues) Len(cpu int) int { return q.counts[cpu] }
 
 // AddToRunqueue files t at the front of its home queue.
 func (s *Sched) AddToRunqueue(t *task.Task) {
@@ -97,7 +73,7 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 		return
 	}
 	t.SyncCounter(s.env.Epoch)
-	home := s.homeOf(t)
+	home := sched.Home(s.env, (*queues)(s), t)
 	s.queues[home].PushFront(&t.RunList)
 	s.counts[home]++
 	t.QIndex = home
@@ -146,16 +122,7 @@ func (s *Sched) QueueLen(q int) int { return s.counts[q] }
 func (s *Sched) ExportRunnable() []*task.Task {
 	out := make([]*task.Task, 0, s.Runnable())
 	for q := range s.queues {
-		for {
-			n := s.queues[q].First()
-			if n == nil {
-				break
-			}
-			t := task.FromNode(n)
-			s.DelFromRunqueue(t)
-			sched.ResetQueueState(t)
-			out = append(out, t)
-		}
+		out = s.DrainCPU(q, out)
 	}
 	return out
 }

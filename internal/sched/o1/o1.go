@@ -21,22 +21,17 @@
 // below, so a real-time task always outranks a timesharing one and the
 // bitmap search honors rt_priority order for free.
 //
-// Balancing is pull-based, as in 2.5: a CPU whose queue empties steals
-// the best movable task from the longest queue, and every balanceEvery
-// schedule() invocations a CPU with at least two fewer queued tasks than
-// the busiest queue pulls one task across.
-//
-// On machines with cache domains (sched.Env.Topo) the balancer is
-// hierarchical, mirroring the 2.5→2.6 sched_domains evolution: steal and
-// pull prefer victims inside the stealing CPU's domain; a cross-domain
-// move requires a larger imbalance (an idle CPU will not drag a victim's
-// only queued task across the interconnect, and the periodic balancer
-// demands CrossImbalance rather than two), and when a cross-domain pull
-// does fire it moves a batch of tasks so the CrossDomainRefillMax each
-// will pay is amortized over a real rebalance rather than spent on
-// ping-pong. The TopologyBlind config knob disables all of this — the
-// scheduler then sees the machine as one flat domain — and exists so the
-// experiments can measure exactly what domain awareness buys.
+// Balancing is the shared pull-based sched.Balancer, as in 2.5: a CPU
+// whose queue empties steals from another queue, and a periodic pull
+// evens out queue lengths. On machines with cache domains (sched.Env.Topo)
+// it is hierarchical, mirroring the 2.5→2.6 sched_domains evolution:
+// in-domain victims first, a larger imbalance and a batched move across a
+// domain boundary. This policy's queue adapter offers the expired array
+// before the active one — those tasks wait longest and are the coldest,
+// so migrating them costs the least — and files pulled tasks at the tail
+// of their level. The TopologyBlind config knob hands the balancer one
+// flat domain instead, so the experiments can measure exactly what domain
+// awareness buys.
 //
 // A starvation guard bounds expired-array wait: if the expired array has
 // been non-empty for StarvationLimit consecutive schedule() calls on its
@@ -90,18 +85,6 @@ const (
 	// nWords is the bitmap size: one bit per level.
 	nWords = (numLevels + 63) / 64
 
-	// balanceEvery is the pull-balancing period in schedule() calls per
-	// CPU, and balanceImbalance the queue-length gap that triggers a
-	// pull — the 2.5 kernel's "25% imbalance" rule at small queue sizes.
-	balanceEvery     = 32
-	balanceImbalance = 2
-
-	// crossStealMin is the minimum victim queue length for an idle steal
-	// that leaves the thief's cache domain: dragging a victim's only
-	// queued task across the interconnect costs more than letting the
-	// victim run it next.
-	crossStealMin = 2
-
 	// maxBonus bounds the dynamic-priority bonus: sleep_avg maps onto
 	// [-maxBonus, +maxBonus] effective priority levels (2.5's MAX_BONUS).
 	maxBonus = 5
@@ -111,21 +94,13 @@ const (
 // BonusLevels returns one counter per value, index 0 = -maxBonus.
 const BonusSpan = 2*maxBonus + 1
 
-// Config tunes the o1 scheduler's domain-aware balancing. The zero value
-// gives the default, domain-aware behavior.
+// Config tunes the o1 scheduler's balancing, starvation guard and
+// interactivity. The zero value gives the default, domain-aware behavior.
 type Config struct {
 	// TopologyBlind makes the balancer ignore cache domains, treating
 	// the machine as one flat domain — the pre-sched_domains behavior,
 	// kept as the ablation baseline for the NUMA experiments.
 	TopologyBlind bool
-	// CrossImbalance is the queue-length gap required before the
-	// periodic balancer pulls across a domain boundary (default 4,
-	// twice the intra-domain threshold).
-	CrossImbalance int
-	// CrossBatch caps the tasks moved per cross-domain pull (default 4).
-	// Batching amortizes the cross-domain cache-refill penalty: one
-	// decisive rebalance instead of a penalty per balancing period.
-	CrossBatch int
 	// StarvationLimit is how many schedule() calls the expired array may
 	// sit non-empty before a forced array swap (default 128; <0
 	// disables the guard). The same clock bounds interactive re-insertion
@@ -153,12 +128,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CrossImbalance == 0 {
-		c.CrossImbalance = 2 * balanceImbalance
-	}
-	if c.CrossBatch == 0 {
-		c.CrossBatch = 4
-	}
 	if c.StarvationLimit == 0 {
 		c.StarvationLimit = 128
 	}
@@ -235,7 +204,6 @@ func (a *prioArray) clearBit(lvl int) { a.bitmap[lvl/64] &^= 1 << uint(lvl%64) }
 type runqueue struct {
 	arrays       [2]prioArray
 	activeIdx    int
-	sinceBalance int
 	schedSeq     uint64
 	expiredSince uint64
 
@@ -249,24 +217,16 @@ func (rq *runqueue) active() *prioArray  { return &rq.arrays[rq.activeIdx] }
 func (rq *runqueue) expired() *prioArray { return &rq.arrays[1-rq.activeIdx] }
 func (rq *runqueue) len() int            { return rq.arrays[0].count + rq.arrays[1].count }
 
-// CPUSteals is one CPU's balancer activity: tasks its steal and pull
-// paths moved onto it from queues in the same cache domain (Intra) and
-// from queues across a domain boundary (Cross). The type lives in sched
-// so every domain-split balancer reports through the same shape.
-type CPUSteals = sched.CPUSteals
-
 // Sched is the O(1) scheduler. Create with New.
 type Sched struct {
-	env  *sched.Env
-	cfg  Config
-	topo *sched.Topology // flat when TopologyBlind, else env.Topo
-	rqs  []runqueue
-
-	// steals counts tasks moved by the balancer (idle steal or periodic
-	// pull) within and across cache domains, per stealing CPU, as the
-	// scheduler sees them — the numa experiment's per-policy columns and
+	// Balancer moves tasks between the per-CPU queues; its steal
+	// counters are the numa experiment's per-policy columns and
 	// schedtrace's per-domain steal table.
-	steals []CPUSteals
+	sched.Balancer
+
+	env *sched.Env
+	cfg Config
+	rqs []runqueue
 
 	// bonusLevels counts SCHED_OTHER enqueues by dynamic-priority bonus
 	// (index 0 = -maxBonus), the interactivity estimator's observable
@@ -283,38 +243,20 @@ func New(env *sched.Env) *Sched { return NewWithConfig(env, Config{}) }
 // NewWithConfig returns an O(1) scheduler with tuned balancing knobs.
 func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 	s := &Sched{
-		env:    env,
-		cfg:    cfg.withDefaults(),
-		rqs:    make([]runqueue, env.NCPU),
-		steals: make([]CPUSteals, env.NCPU),
+		env: env,
+		cfg: cfg.withDefaults(),
+		rqs: make([]runqueue, env.NCPU),
 	}
-	s.topo = env.Topo
-	if s.cfg.TopologyBlind || s.topo == nil {
-		s.topo = sched.FlatTopology(env.NCPU)
+	topo := env.Topo
+	if s.cfg.TopologyBlind {
+		topo = nil // the balancer's one flat domain
 	}
+	s.Balancer = sched.NewBalancer(env, topo, (*queues)(s))
 	for i := range s.rqs {
 		s.rqs[i].arrays[0].init()
 		s.rqs[i].arrays[1].init()
 	}
 	return s
-}
-
-// DomainSteals reports tasks the balancer moved within and across cache
-// domains, machine-wide. A topology-blind scheduler sees one flat domain,
-// so its moves all count as intra-domain; the machine-level
-// CrossDomainMigrations stat records what they really cost.
-func (s *Sched) DomainSteals() (intra, cross uint64) {
-	for i := range s.steals {
-		intra += s.steals[i].Intra
-		cross += s.steals[i].Cross
-	}
-	return intra, cross
-}
-
-// PerCPUSteals returns a copy of the per-CPU steal counters, indexed by
-// the stealing CPU — the breakdown schedtrace renders per domain.
-func (s *Sched) PerCPUSteals() []CPUSteals {
-	return append([]CPUSteals(nil), s.steals...)
 }
 
 // bonusOf maps a task's sleep_avg onto the dynamic-priority bonus: zero
@@ -375,34 +317,35 @@ func (s *Sched) Name() string { return "o1" }
 // PerCPU marks the policy as using per-CPU run-queue locks.
 func (s *Sched) PerCPU() bool { return true }
 
-// homeOf picks the queue for t: its last CPU when the affinity mask
-// allows it, otherwise the least-loaded allowed queue. Offline CPUs'
-// queues are drained at hotplug and must stay empty, so they are never a
-// home.
-func (s *Sched) homeOf(t *task.Task) int {
-	if t.EverRan && t.Processor < len(s.rqs) && t.AllowedOn(t.Processor) && s.env.CPUOnline(t.Processor) {
-		return t.Processor
+// queues is the Sched seen as the balancer's queue adapter.
+type queues Sched
+
+func (q *queues) Len(cpu int) int { return q.rqs[cpu].len() }
+
+// Movable offers the victim's expired array before its active one: those
+// tasks wait longest and are the cache-coldest, so migrating them costs
+// the least, whereas the active head is what the victim would dispatch
+// next (2.5's load_balance order).
+func (q *queues) Movable(victim, cpu int, res *sched.Result) *task.Task {
+	s := (*Sched)(q)
+	if t := s.pickArray(s.rqs[victim].expired(), cpu, res); t != nil {
+		return t
 	}
-	best := -1
-	for i := range s.rqs {
-		if !t.AllowedOn(i) || !s.env.CPUOnline(i) {
-			continue
-		}
-		if best < 0 || s.rqs[i].len() < s.rqs[best].len() {
-			best = i
-		}
+	return s.pickArray(s.rqs[victim].active(), cpu, res)
+}
+
+// Migrate leaves a stolen task on the victim, where the thief's Schedule
+// dequeues it for dispatch. A pulled task enters the tail of its level:
+// it lost its cache footprint, so it should not jump local tasks of equal
+// priority.
+func (q *queues) Migrate(t *task.Task, victim, cpu int, steal bool, res *sched.Result) {
+	if steal {
+		return
 	}
-	if best < 0 {
-		// Inconsistent mask (or it names only offline CPUs): fall back to
-		// the first online queue rather than lose the task.
-		for i := range s.rqs {
-			if s.env.CPUOnline(i) {
-				return i
-			}
-		}
-		best = 0
-	}
-	return best
+	s := (*Sched)(q)
+	s.DelFromRunqueue(t)
+	s.enqueue(t, cpu, s.rqs[cpu].activeIdx, false)
+	res.Cycles += s.env.Cost.MoveRunqueue + s.env.Cost.BitmapOp
 }
 
 // Task bookkeeping: QIndex holds the home CPU (the kernel maps it to the
@@ -460,7 +403,7 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 		return
 	}
 	t.SyncCounter(s.env.Epoch)
-	s.addTo(t, s.homeOf(t), true)
+	s.addTo(t, sched.Home(s.env, (*queues)(s), t), true)
 }
 
 // PlaceWake accepts the kernel's SD_WAKE_IDLE hint: file the woken task
@@ -572,20 +515,7 @@ func (s *Sched) ExpiredLen(q int) int { return s.rqs[q].expired().count }
 func (s *Sched) ExportRunnable() []*task.Task {
 	out := make([]*task.Task, 0, s.Runnable())
 	for cpu := range s.rqs {
-		rq := &s.rqs[cpu]
-		for _, arr := range [2]*prioArray{rq.active(), rq.expired()} {
-			for {
-				lvl := arr.firstSet()
-				if lvl < 0 {
-					break
-				}
-				t := task.FromNode(arr.lists[lvl].First())
-				s.DelFromRunqueue(t)
-				sched.ResetQueueState(t)
-				out = append(out, t)
-			}
-		}
-		rq.rotate = nil
+		out = s.DrainCPU(cpu, out)
 	}
 	return out
 }
@@ -633,7 +563,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			rrExpired = true
 		}
 		if prev.Runnable() && !prev.OnRunqueue() {
-			home := s.homeOf(prev)
+			home := sched.Home(s.env, (*queues)(s), prev)
 			switch {
 			case !prev.RealTime() && prev.Counter(env.Epoch) == 0:
 				// Quantum expiry: recharge. Interactive tasks re-enter
@@ -662,17 +592,10 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 		}
 	}
 
-	if env.NCPU > 1 {
-		rq.sinceBalance++
-		if rq.sinceBalance >= balanceEvery {
-			rq.sinceBalance = 0
-			s.pullBalance(cpu, &res)
-		}
-	}
-
+	s.Rebalance(cpu, &res)
 	best := s.pickLocal(cpu, &res)
 	if best == nil {
-		best = s.steal(cpu, &res)
+		best = s.Steal(cpu, &res)
 	}
 	if best != nil {
 		s.DelFromRunqueue(best)
@@ -737,7 +660,7 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 // pickLocal selects from cpu's own queue, swapping in the expired array
 // when the active one yields nothing. The swap triggers on "no pickable
 // task", not "array empty": an unpickable straggler (an inconsistent
-// affinity mask filed here by homeOf's fallback) must not pin the
+// affinity mask filed here by sched.Home's fallback) must not pin the
 // arrays and starve the expired tasks behind it.
 func (s *Sched) pickLocal(cpu int, res *sched.Result) *task.Task {
 	rq := &s.rqs[cpu]
@@ -813,154 +736,4 @@ func (s *Sched) pickArray(arr *prioArray, cpu int, res *sched.Result) *task.Task
 		}
 	}
 	return nil
-}
-
-// steal takes the best movable task from another queue — the 2.5
-// idle-balance path, made hierarchical: victims inside the thief's cache
-// domain are exhausted before any cross-domain queue is touched, and a
-// cross-domain steal additionally requires the victim to hold at least
-// crossStealMin tasks (an imbalance of one does not justify paying the
-// interconnect refill). Within each tier the longest queue is tried
-// first, but a queue full of pinned tasks must not end the hunt while a
-// shorter queue holds stealable work, so the remaining queues are tried
-// in index order. Each victim queue's lock is charged.
-func (s *Sched) steal(cpu int, res *sched.Result) *task.Task {
-	if t := s.stealTier(cpu, res, true); t != nil {
-		return t
-	}
-	if s.topo.NumDomains() == 1 {
-		return nil // the local tier already covered every queue
-	}
-	return s.stealTier(cpu, res, false)
-}
-
-// stealTier hunts one tier of the hierarchy: the thief's own domain
-// (local=true) or the rest of the machine (local=false).
-func (s *Sched) stealTier(cpu int, res *sched.Result, local bool) *task.Task {
-	minLen := 1
-	if !local {
-		minLen = crossStealMin
-	}
-	eligible := func(i int) bool {
-		return s.topo.SameDomain(i, cpu) == local && s.rqs[i].len() >= minLen
-	}
-	first := s.busiestWhere(cpu, 0, eligible)
-	if first < 0 {
-		return nil
-	}
-	if t := s.stealFrom(first, cpu, res); t != nil {
-		s.noteMove(cpu, first)
-		return t
-	}
-	for i := range s.rqs {
-		if i == cpu || i == first || !eligible(i) {
-			continue
-		}
-		if t := s.stealFrom(i, cpu, res); t != nil {
-			s.noteMove(cpu, i)
-			return t
-		}
-	}
-	return nil
-}
-
-// noteMove classifies one balancer-driven migration for the stealing
-// CPU's counters.
-func (s *Sched) noteMove(cpu, victim int) {
-	if s.topo.SameDomain(cpu, victim) {
-		s.steals[cpu].Intra++
-	} else {
-		s.steals[cpu].Cross++
-	}
-}
-
-// stealFrom scans one victim queue, expired array first: those tasks
-// wait longest and are the coldest, so migrating them costs the least.
-func (s *Sched) stealFrom(victim, cpu int, res *sched.Result) *task.Task {
-	res.Cycles += s.env.Cost.LockOp
-	vrq := &s.rqs[victim]
-	if t := s.pickArray(vrq.expired(), cpu, res); t != nil {
-		return t
-	}
-	return s.pickArray(vrq.active(), cpu, res)
-}
-
-// busiestWhere returns the index of the longest queue other than cpu
-// satisfying the predicate, with strictly more than floor queued tasks,
-// or -1.
-func (s *Sched) busiestWhere(cpu, floor int, ok func(i int) bool) int {
-	victim := -1
-	most := floor
-	for i := range s.rqs {
-		if i == cpu || !ok(i) {
-			continue
-		}
-		if n := s.rqs[i].len(); n > most {
-			most = n
-			victim = i
-		}
-	}
-	return victim
-}
-
-// pullBalance is the periodic half of 2.5's load_balance, run through the
-// domain hierarchy: an in-domain victim at the balanceImbalance threshold
-// moves one task, exactly as before; with no in-domain imbalance, a
-// cross-domain victim is considered only past the larger CrossImbalance
-// gap, and then a batch of tasks moves at once — one decisive rebalance
-// amortizes the per-task interconnect refill that would otherwise recur
-// every balancing period.
-func (s *Sched) pullBalance(cpu int, res *sched.Result) {
-	rq := &s.rqs[cpu]
-	inDomain := func(i int) bool { return s.topo.SameDomain(i, cpu) }
-	if victim := s.busiestWhere(cpu, rq.len()+balanceImbalance-1, inDomain); victim >= 0 {
-		s.pullFrom(victim, cpu, 1, res)
-		return
-	}
-	if s.topo.NumDomains() == 1 {
-		return
-	}
-	outDomain := func(i int) bool { return !s.topo.SameDomain(i, cpu) }
-	victim := s.busiestWhere(cpu, rq.len()+s.cfg.CrossImbalance-1, outDomain)
-	if victim < 0 {
-		return
-	}
-	batch := (s.rqs[victim].len() - rq.len()) / 2
-	if batch > s.cfg.CrossBatch {
-		batch = s.cfg.CrossBatch
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	s.pullFrom(victim, cpu, batch, res)
-}
-
-// pullFrom moves up to max movable tasks from victim's queue to cpu,
-// expired-first as 2.5's load_balance: those tasks are the cache-coldest
-// and the victim will not miss them soon, whereas its active head is
-// exactly what it would dispatch next. The victim's lock is charged once
-// for the whole batch.
-func (s *Sched) pullFrom(victim, cpu, max int, res *sched.Result) int {
-	res.Cycles += s.env.Cost.LockOp
-	vrq := &s.rqs[victim]
-	rq := &s.rqs[cpu]
-	moved := 0
-	for moved < max {
-		t := s.pickArray(vrq.expired(), cpu, res)
-		if t == nil {
-			t = s.pickArray(vrq.active(), cpu, res)
-		}
-		if t == nil {
-			break
-		}
-		s.DelFromRunqueue(t)
-		// Migrated tasks enter at the tail of their level: they lost
-		// their cache footprint, so they should not jump local tasks of
-		// equal priority.
-		s.enqueue(t, cpu, rq.activeIdx, false)
-		res.Cycles += s.env.Cost.MoveRunqueue + s.env.Cost.BitmapOp
-		s.noteMove(cpu, victim)
-		moved++
-	}
-	return moved
 }

@@ -261,7 +261,7 @@ func TestPullBalancePrefersExpiredTasks(t *testing.T) {
 	cold.SetCounter(env.Epoch, 0)
 	s.AddToRunqueue(cold) // exhausted: victim's expired array
 	var res sched.Result
-	s.pullBalance(0, &res)
+	s.Pull(0, &res)
 	if s.QueueLen(0) != 1 || cold.QIndex != 0 {
 		t.Fatalf("pull took the wrong task: queue0=%d hot.QIndex=%d cold.QIndex=%d (want the expired, cache-cold task)",
 			s.QueueLen(0), hot.QIndex, cold.QIndex)
@@ -284,7 +284,7 @@ func TestPullBalanceMovesWork(t *testing.T) {
 		s.AddToRunqueue(tk)
 	}
 	prev := idlePrev()
-	for i := 0; i < balanceEvery+2; i++ {
+	for i := 0; i < sched.BalanceEvery+2; i++ {
 		res := s.Schedule(0, prev)
 		if res.Next == nil {
 			t.Fatal("CPU 0 went idle with local work queued")
@@ -327,7 +327,7 @@ func TestExpiredNotStarvedByUnpickableStraggler(t *testing.T) {
 	env := newEnv(2, 2)
 	s := New(env)
 	// A task whose mask allows no present CPU lands on CPU 0 via the
-	// homeOf fallback; it can never be picked, but it must not pin the
+	// sched.Home fallback; it can never be picked, but it must not pin the
 	// arrays and starve expired tasks behind it.
 	ghost := mkTask(env, 1, 20, 10)
 	ghost.CPUsAllowed = 1 << 5
@@ -476,50 +476,6 @@ func TestStarvationGuardDisabled(t *testing.T) {
 	}
 }
 
-func TestStealPrefersLocalDomainVictim(t *testing.T) {
-	// Two domains: CPUs {0,1} and {2,3}. CPU 1 holds one task; CPU 2 is
-	// the busiest queue with three. A topology-blind thief on CPU 0
-	// would raid CPU 2; a hierarchical one must take the in-domain task.
-	env := newNumaEnv(4, 2, 4)
-	s := New(env)
-	local := homedTask(env, 1, 1)
-	s.AddToRunqueue(local)
-	for i := 0; i < 3; i++ {
-		s.AddToRunqueue(homedTask(env, 10+i, 2))
-	}
-	res := s.Schedule(0, idlePrev())
-	if res.Next != local {
-		t.Fatalf("stole %v, want the in-domain task", res.Next)
-	}
-	intra, cross := s.DomainSteals()
-	if intra != 1 || cross != 0 {
-		t.Fatalf("steal counters = %d intra / %d cross, want 1/0", intra, cross)
-	}
-}
-
-func TestCrossDomainStealRequiresImbalance(t *testing.T) {
-	// The only queued task sits alone in a foreign domain: dragging it
-	// across the interconnect for an imbalance of one is a loss, so the
-	// idle CPU must stay idle and let the task's home CPU run it.
-	env := newNumaEnv(4, 2, 2)
-	s := New(env)
-	lone := homedTask(env, 1, 2)
-	s.AddToRunqueue(lone)
-	if res := s.Schedule(0, idlePrev()); res.Next != nil {
-		t.Fatalf("stole %v across domains for an imbalance of one", res.Next)
-	}
-	// A second task on the same foreign queue is a real imbalance.
-	s.AddToRunqueue(homedTask(env, 2, 2))
-	res := s.Schedule(0, idlePrev())
-	if res.Next == nil {
-		t.Fatal("idle CPU refused a two-task cross-domain steal")
-	}
-	intra, cross := s.DomainSteals()
-	if intra != 0 || cross != 1 {
-		t.Fatalf("steal counters = %d intra / %d cross, want 0/1", intra, cross)
-	}
-}
-
 func TestTopologyBlindStealsAnywhere(t *testing.T) {
 	// The ablation baseline: with TopologyBlind set the same lone
 	// foreign task is fair game, as in the pre-domain scheduler.
@@ -530,51 +486,6 @@ func TestTopologyBlindStealsAnywhere(t *testing.T) {
 	res := s.Schedule(0, idlePrev())
 	if res.Next != lone {
 		t.Fatalf("blind scheduler picked %v, want the foreign task", res.Next)
-	}
-}
-
-func TestCrossDomainPullBatches(t *testing.T) {
-	// No in-domain imbalance, a large foreign one: the periodic balancer
-	// must move a batch in one pull, amortizing the interconnect refill.
-	env := newNumaEnv(4, 2, 8)
-	s := New(env)
-	for i := 0; i < 8; i++ {
-		s.AddToRunqueue(homedTask(env, i+1, 2))
-	}
-	var res sched.Result
-	s.pullBalance(0, &res)
-	if got := s.QueueLen(0); got != 4 {
-		t.Fatalf("cross-domain pull moved %d tasks, want a batch of 4", got)
-	}
-	intra, cross := s.DomainSteals()
-	if intra != 0 || cross != 4 {
-		t.Fatalf("steal counters = %d intra / %d cross, want 0/4", intra, cross)
-	}
-}
-
-func TestCrossDomainPullNeedsLargerGap(t *testing.T) {
-	// An imbalance that would trigger an intra-domain pull (2) must NOT
-	// trigger a cross-domain one: the threshold doubles across domains.
-	env := newNumaEnv(4, 2, 2)
-	s := New(env)
-	for i := 0; i < 2; i++ {
-		s.AddToRunqueue(homedTask(env, i+1, 2))
-	}
-	var res sched.Result
-	s.pullBalance(0, &res)
-	if got := s.QueueLen(0); got != 0 {
-		t.Fatalf("cross-domain pull fired at imbalance 2, moved %d tasks", got)
-	}
-	// Same gap inside the domain does move work.
-	env2 := newNumaEnv(4, 2, 2)
-	s2 := New(env2)
-	for i := 0; i < 2; i++ {
-		s2.AddToRunqueue(homedTask(env2, i+1, 1))
-	}
-	var res2 sched.Result
-	s2.pullBalance(0, &res2)
-	if got := s2.QueueLen(0); got != 1 {
-		t.Fatalf("intra-domain pull at imbalance 2 moved %d tasks, want 1", got)
 	}
 }
 
@@ -608,39 +519,6 @@ func TestStarvationGuardNeverDemotesRealTime(t *testing.T) {
 	res = s.Schedule(0, res.Next)
 	if res.Next != starved {
 		t.Fatalf("picked %v after RT load left, want the expired task", res.Next)
-	}
-}
-
-func TestPerCPUStealCountersAttributeToThief(t *testing.T) {
-	// Two domains: CPU 0 steals in-domain from CPU 1, then cross-domain
-	// from CPU 2 (two tasks queued there makes the cross steal legal).
-	// Both moves must land on CPU 0's counters, split by domain, and the
-	// machine-wide DomainSteals must equal the per-CPU sum.
-	env := newNumaEnv(4, 2, 4)
-	s := New(env)
-	s.AddToRunqueue(homedTask(env, 1, 1))
-	res := s.Schedule(0, idlePrev())
-	if res.Next == nil {
-		t.Fatal("in-domain steal failed")
-	}
-	res.Next.State = task.Interruptible // retire the stolen task
-	s.AddToRunqueue(homedTask(env, 2, 2))
-	s.AddToRunqueue(homedTask(env, 3, 2))
-	if res := s.Schedule(0, res.Next); res.Next == nil {
-		t.Fatal("cross-domain steal failed")
-	}
-	per := s.PerCPUSteals()
-	if per[0].Intra != 1 || per[0].Cross != 1 {
-		t.Fatalf("CPU 0 counters = %+v, want 1 intra / 1 cross", per[0])
-	}
-	for cpu := 1; cpu < 4; cpu++ {
-		if per[cpu] != (CPUSteals{}) {
-			t.Fatalf("CPU %d counters = %+v, want zero (it stole nothing)", cpu, per[cpu])
-		}
-	}
-	intra, cross := s.DomainSteals()
-	if intra != 1 || cross != 1 {
-		t.Fatalf("totals = %d/%d, want the per-CPU sum 1/1", intra, cross)
 	}
 }
 

@@ -74,9 +74,9 @@ type Result struct {
 
 // CPUSteals is one CPU's balancer activity: tasks its steal and pull
 // paths moved onto it from queues in the same cache domain (Intra) and
-// from queues across a domain boundary (Cross). Policies with a
-// domain-split balancer (o1, cfs) expose `PerCPUSteals() []CPUSteals`,
-// which schedtrace renders as a per-domain table.
+// from queues across a domain boundary (Cross). Policies that embed
+// Balancer (o1, cfs) expose `PerCPUSteals() []CPUSteals`, which
+// schedtrace renders as a per-domain table.
 type CPUSteals struct {
 	Intra uint64
 	Cross uint64

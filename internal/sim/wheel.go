@@ -187,6 +187,7 @@ func (e *Engine) cascade(l, idx int) {
 	w.bits[l][idx>>6] &^= 1 << (idx & 63)
 	for ev != nil {
 		next := ev.wheelNext
+		ev.wheelNext = nil
 		w.count--
 		w.occ[l]--
 		if ev.cancelled {
@@ -264,6 +265,7 @@ func (e *Engine) wheelScanL0(b, limit Time) *Event {
 		for s.head != nil && s.head.cancelled {
 			dead := s.head
 			s.head = dead.wheelNext
+			dead.wheelNext = nil
 			dead.queued = false
 			w.count--
 			w.occ[0]--
@@ -395,6 +397,7 @@ func (e *Engine) popWheel(ev *Event) {
 	idx := int(ev.At>>wheelShift) & wheelMask
 	s := &w.slots[0][idx]
 	next := ev.wheelNext
+	ev.wheelNext = nil // a recycled event must not keep its old slot-mates reachable
 	s.head = next
 	if next == nil {
 		s.tail = nil

@@ -99,3 +99,35 @@ func BenchmarkWheelMixed(b *testing.B) {
 		e.Step()
 	}
 }
+
+// TestResetLeavesNoWheelLinksOnFreelist checks that every way out of a
+// wheel slot — a pop, a pruned cancelled head, a cancelled event dropped
+// while cascading — clears the event's slot link. A recycled event that
+// kept it would hold its former slot-mates, and through their callbacks
+// whole earlier simulations, reachable from the freelist across Reset.
+func TestResetLeavesNoWheelLinksOnFreelist(t *testing.T) {
+	e := new(Engine)
+	var near, far []*Event
+	for i := 0; i < 8; i++ {
+		// Eight deadlines in one level-0 slot, eight in one level-1 slot.
+		near = append(near, e.After(Cycles(100+i), "near", func(Time) {}))
+		far = append(far, e.After(Cycles(wheelSpan0+100+i), "far", func(Time) {}))
+	}
+	e.Cancel(near[0]) // pruned as the slot's cancelled head
+	e.Cancel(near[1])
+	e.Cancel(near[5])
+	e.Cancel(far[0]) // dropped while its slot cascades
+	e.Cancel(far[3])
+	for i := 0; i < 8; i++ {
+		e.Step()
+	}
+	e.Reset()
+	if len(e.free) == 0 {
+		t.Fatal("nothing reached the freelist")
+	}
+	for i, ev := range e.free {
+		if ev.wheelNext != nil {
+			t.Fatalf("freelist event %d (%s) still links to %s", i, ev.Name, ev.wheelNext.Name)
+		}
+	}
+}
