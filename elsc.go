@@ -65,7 +65,8 @@ type Topology = sched.Topology
 
 // MachineConfig describes the simulated machine.
 type MachineConfig struct {
-	// CPUs is the processor count (default 1).
+	// CPUs is the processor count (default 1, at most 64; NewMachine
+	// panics above that, since affinity masks are 64 bits).
 	CPUs int
 	// SMP selects an SMP kernel build. The paper's "UP" is CPUs=1 with
 	// SMP false; "1P" is CPUs=1 with SMP true.

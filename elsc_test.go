@@ -221,6 +221,15 @@ func TestFacadeHotplugRejectsBadCPUIDs(t *testing.T) {
 	}
 }
 
+func TestFacadeRejectsMoreThan64CPUs(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 65-CPU machine did not panic")
+		}
+	}()
+	elsc.NewMachine(elsc.MachineConfig{CPUs: 65, SMP: true, Scheduler: elsc.O1})
+}
+
 func TestFacadeHotplugAndWatchdog(t *testing.T) {
 	var violations []elsc.WatchdogViolation
 	m := elsc.NewMachine(elsc.MachineConfig{

@@ -650,7 +650,8 @@ func (m *Machine) reschedule(c *CPU, now sim.Time) {
 		// is parked, so no tick will come along to re-run schedule() for
 		// it. The always-on chain resolved this by polling every tick;
 		// that was seed behavior, not a guarantee. Deliver the kicks this
-		// decision owes.
+		// decision owes: free when nothing is queued, otherwise one pass
+		// over the processes for all idle CPUs together.
 		m.kickIdleBacklog()
 	}
 }

@@ -567,6 +567,44 @@ func TestTopologyCPUCountMismatchPanics(t *testing.T) {
 	})
 }
 
+func TestMoreThan64CPUsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 65-CPU machine did not panic")
+		}
+	}()
+	NewMachine(Config{CPUs: 65, SMP: true, NewScheduler: vanillaFactory})
+}
+
+// TestSetPriorityIndependentOfCounterReads: a counter read applies any
+// pending recalculations, so SetPriority must apply them at the old
+// priority itself. Otherwise the new counter depends on whether something
+// unrelated happened to read the counter first: counter 0 with one recalc
+// pending and priority 20 -> 1 gives min(0/2+20, 2) = 2 when synced early
+// but 0/2+1 = 1 when synced late.
+func TestSetPriorityIndependentOfCounterReads(t *testing.T) {
+	var counters [2]int
+	for i, readFirst := range []bool{false, true} {
+		m := NewMachine(Config{CPUs: 1, Seed: 42, NewScheduler: vanillaFactory,
+			UniformSpawnCounter: true})
+		p := m.Spawn("w", nil, computeLoop(1, 1000))
+		p.Task.SetCounter(m.Env().Epoch, 0)
+		m.Env().Epoch.Bump()
+		if readFirst {
+			p.Task.Counter(m.Env().Epoch)
+		}
+		m.SetPriority(p, 1)
+		counters[i] = p.Task.Counter(m.Env().Epoch)
+	}
+	if counters[0] != counters[1] {
+		t.Fatalf("counter after SetPriority = %d without a prior read, %d with one",
+			counters[0], counters[1])
+	}
+	if counters[0] != 2 {
+		t.Fatalf("counter after SetPriority = %d, want 2 (recalc at the old priority, capped)", counters[0])
+	}
+}
+
 // roamProgram alternates compute chunks with short sleeps, so an
 // affinity change can take effect at the next wake-up. done reports how
 // many compute chunks have finished.

@@ -14,6 +14,7 @@ package kernel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"elsc/internal/sched"
 	"elsc/internal/sim"
@@ -41,7 +42,7 @@ type SchedulerFactory func(env *sched.Env) sched.Scheduler
 
 // Config describes the machine to simulate.
 type Config struct {
-	// CPUs is the processor count (>= 1).
+	// CPUs is the processor count, 1 to 64.
 	CPUs int
 	// SMP selects an SMP kernel build. The paper's "UP" rows are
 	// CPUs=1, SMP=false; its "1P" rows are CPUs=1, SMP=true.
@@ -194,6 +195,9 @@ type runningNoter interface {
 func NewMachine(cfg Config) *Machine {
 	if cfg.CPUs < 1 {
 		panic("kernel: need at least one CPU")
+	}
+	if cfg.CPUs > 64 {
+		panic(fmt.Sprintf("kernel: at most 64 CPUs (affinity masks are 64 bits), got %d", cfg.CPUs))
 	}
 	if cfg.NewScheduler == nil {
 		panic("kernel: config needs a scheduler factory")
@@ -385,6 +389,10 @@ func (m *Machine) SetPriority(p *Proc, prio int) {
 	if queued {
 		m.sched.DelFromRunqueue(t)
 	}
+	// Apply pending recalculations at the old priority first, so the
+	// result does not depend on whether anything read the counter since
+	// the last recalc.
+	t.SyncCounter(m.env.Epoch)
 	t.Priority = prio
 	if c := t.Counter(m.env.Epoch); c > t.MaxCounter() {
 		t.SetCounter(m.env.Epoch, t.MaxCounter())
@@ -660,25 +668,25 @@ func (m *Machine) rescheduleIdle(p *Proc) {
 
 // tickRescueNeeded reports whether an idle CPU's timer tick found queued
 // work that nothing in flight is going to deliver — a lost kick. It must
-// stay false in every healthy state, so it rules out each benign way a
-// task can be queued while this CPU idles:
+// stay false in every healthy state. Two machine-wide states rule it out
+// before any task is looked at:
 //
 //   - a resched IPI is in flight somewhere (this CPU or another): the
 //     landing will run schedule() and the wakes that piggybacked on it
 //     name the queued tasks;
 //   - a CPU is mid context-switch: its dispatch path re-examines the
 //     queue (needResched) or the completed decision already claimed the
-//     task;
-//   - the task is affinity-barred from this CPU: not this CPU's to run;
-//   - under per-CPU queues, the task waits on another CPU's queue: its
-//     owner will reach it, and declining to steal it (e.g. a short
-//     remote-domain queue under the cross-domain steal threshold) is
-//     balancing policy, not a lost wake-up.
+//     task.
 //
-// What remains — an allowed, unclaimed task on a queue this CPU's
-// schedule() would pick from, with no delivery in flight anywhere — is a
-// bug in some enqueue-to-idle path. The tick rescues it (and the audited
-// IdleTickRescues counter records the bug) rather than hanging.
+// Otherwise the tick owes a rescue exactly when deliverableCPUs says this
+// CPU's own schedule() would pick something. Work that predicate leaves
+// out is benign: an affinity-barred task is not this CPU's to run, and a
+// task on another CPU's per-CPU queue will be reached by its owner —
+// declining to steal it (e.g. a short remote-domain queue under the
+// cross-domain steal threshold) is balancing policy, not a lost wake-up.
+// What remains is a bug in some enqueue-to-idle path. The tick rescues it
+// (and the audited IdleTickRescues counter records the bug) rather than
+// hanging.
 func (m *Machine) tickRescueNeeded(c *CPU) bool {
 	if m.sched.Runnable() == 0 {
 		return false
@@ -688,32 +696,46 @@ func (m *Machine) tickRescueNeeded(c *CPU) bool {
 			return false
 		}
 	}
+	return m.deliverableCPUs(1<<uint(c.id)) != 0
+}
+
+// deliverableCPUs returns the subset of cand whose own schedule() would
+// find queued work: a live, runnable, unclaimed task on a queue the CPU
+// picks from — its own queue under per-CPU queues, the shared queue
+// otherwise, affinity permitting in both — that still holds quantum. An
+// exhausted task (zero counter) is waiting for the next global
+// recalculation, not for a kick: the epoch policies park it in the
+// zero-counter section and legitimately leave a CPU idle while any
+// selectable task exists anywhere, and the recalc owes the kick when it
+// finally runs (kickIdleBacklog). RT tasks are exempt: FIFO/RR selection
+// ignores the counter.
+//
+// One pass over the processes answers for every candidate at once. A task
+// whose CPUs are all already answered is skipped before its counter is
+// read, and the pass stops once every candidate is answered (at once for
+// an empty cand).
+func (m *Machine) deliverableCPUs(cand uint64) uint64 {
 	perCPU := len(m.rqLocks) > 1
-	for _, p := range m.procs {
-		if p.exited {
-			continue
-		}
+	var hit uint64
+	for i := 0; i < len(m.procs) && hit != cand; i++ {
+		p := m.procs[i]
 		t := p.Task
-		if !t.Runnable() || t.HasCPU || !t.AllowedOn(c.id) || !m.sched.OnRunqueue(t) {
+		if p.exited || !t.Runnable() || t.HasCPU || !m.sched.OnRunqueue(t) {
 			continue
 		}
-		if perCPU && t.QIndex != c.id {
+		cpus := t.CPUsAllowed
+		if cpus == 0 {
+			cpus = ^uint64(0)
+		}
+		if perCPU {
+			cpus &= 1 << uint(t.QIndex)
+		}
+		if cpus&cand&^hit == 0 || !t.RealTime() && t.Counter(m.env.Epoch) == 0 {
 			continue
 		}
-		if !t.RealTime() && t.Counter(m.env.Epoch) == 0 {
-			// Exhausted quantum: the task is waiting for the next global
-			// recalculation, not for a kick. The epoch policies park it in
-			// the zero-counter section and legitimately leave this CPU
-			// idle while any selectable task exists anywhere — schedule()
-			// here would return idle too, so a tick could not have
-			// rescued it. The recalc itself owes the kick when it
-			// finally runs (kickIdleBacklog). RT tasks are exempt:
-			// FIFO/RR selection ignores the counter.
-			continue
-		}
-		return true
+		hit |= cpus & cand
 	}
-	return false
+	return hit
 }
 
 // kickIdleAllowed kicks one idle CPU the task may run on, preferring
@@ -735,22 +757,18 @@ func (m *Machine) kickIdleAllowed(t *task.Task) {
 	}
 }
 
-// kickIdleBacklog kicks every idle CPU that has allowed, charged, queued
-// work with no delivery in flight. Called after a schedule() decision
-// that dispatched a task or bumped the epoch — the two events that make
-// previously undeliverable work deliverable: a recalculation recharges
-// all queued tasks in bulk, and a dispatch both consumes the one kick
-// that several wake-ups may have piggybacked on and can uncover backlog
-// the chooser was hiding (popping a pinned task off a shared heap top
-// exposes the element beneath it to every CPU). Exactly one task leaves
-// with the deciding CPU; any other idle CPU with usable work is owed a
-// kick, or it sits stranded until its (possibly parked) tick polls.
-//
-// The filters mirror tickRescueNeeded: exhausted tasks wait for the next
-// recalculation, not a kick (RT selection ignores the counter), and under
-// per-CPU queues only the owning CPU's schedule() will find the task. A
-// kicked CPU whose policy still cannot see the work declines and goes
-// back to idle without re-arming anything, so the sweep cannot loop.
+// kickIdleBacklog kicks every idle CPU that has deliverable work
+// (deliverableCPUs) with no delivery in flight. Called after a schedule()
+// decision that dispatched a task or bumped the epoch — the two events
+// that make previously undeliverable work deliverable: a recalculation
+// recharges all queued tasks in bulk, and a dispatch both consumes the
+// one kick that several wake-ups may have piggybacked on and can uncover
+// backlog the chooser was hiding (popping a pinned task off a shared heap
+// top exposes the element beneath it to every CPU). Exactly one task
+// leaves with the deciding CPU; any other idle CPU with usable work is
+// owed a kick, or it sits stranded until its (possibly parked) tick
+// polls. A kicked CPU whose policy still cannot see the work declines and
+// goes back to idle without re-arming anything, so the sweep cannot loop.
 //
 // A CPU mid-transition to idle is not isIdle() yet but will be the
 // moment its switch completes — and with its tick parked nothing will
@@ -758,34 +776,26 @@ func (m *Machine) kickIdleAllowed(t *task.Task) {
 // pop exposing backlog just as this one deschedules) must still deliver:
 // flagging needResched makes the to-idle completion re-run schedule(),
 // the same almost-idle handling rescheduleIdle uses.
+//
+// With nothing queued there is nothing to deliver, which makes the common
+// busy-machine case free. Otherwise one pass answers for all candidate
+// CPUs, and the kicks go out in ascending CPU order.
 func (m *Machine) kickIdleBacklog() {
-	perCPU := len(m.rqLocks) > 1
+	if m.sched.Runnable() == 0 {
+		return
+	}
+	var cand uint64
 	for _, o := range m.cpus {
-		idle := o.isIdle()
-		almostIdle := o.online && o.transitioning && o.dispatchNext == nil
-		if (!idle && !almostIdle) || o.reschedSent {
-			continue
+		if (o.isIdle() || o.online && o.transitioning && o.dispatchNext == nil) && !o.reschedSent {
+			cand |= 1 << uint(o.id)
 		}
-		for _, p := range m.procs {
-			if p.exited {
-				continue
-			}
-			t := p.Task
-			if !t.Runnable() || t.HasCPU || !t.AllowedOn(o.id) || !m.sched.OnRunqueue(t) {
-				continue
-			}
-			if perCPU && t.QIndex != o.id {
-				continue
-			}
-			if !t.RealTime() && t.Counter(m.env.Epoch) == 0 {
-				continue
-			}
-			if idle {
-				o.kickIdle()
-			} else {
-				o.needResched = true
-			}
-			break
+	}
+	for hit := m.deliverableCPUs(cand); hit != 0; hit &= hit - 1 {
+		o := m.cpus[bits.TrailingZeros64(hit)]
+		if o.isIdle() {
+			o.kickIdle()
+		} else {
+			o.needResched = true
 		}
 	}
 }

@@ -34,6 +34,7 @@ type Sched struct {
 	cfg    Config
 	queues []*klist.Head
 	counts []int
+	total  int // sum of counts
 }
 
 // New returns a multi-queue scheduler bound to env.
@@ -76,6 +77,7 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 	home := sched.Home(s.env, (*queues)(s), t)
 	s.queues[home].PushFront(&t.RunList)
 	s.counts[home]++
+	s.total++
 	t.QIndex = home
 }
 
@@ -86,6 +88,7 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 	}
 	s.queues[t.QIndex].Remove(&t.RunList)
 	s.counts[t.QIndex]--
+	s.total--
 }
 
 // MoveFirstRunqueue moves t to its queue's front.
@@ -103,13 +106,7 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 }
 
 // Runnable returns the number of queued tasks.
-func (s *Sched) Runnable() int {
-	n := 0
-	for _, c := range s.counts {
-		n += c
-	}
-	return n
-}
+func (s *Sched) Runnable() int { return s.total }
 
 // OnRunqueue reports whether t is filed in some queue.
 func (s *Sched) OnRunqueue(t *task.Task) bool { return t.OnRunqueue() }

@@ -180,7 +180,7 @@ func TestRandomOpsKeepCountsConsistent(t *testing.T) {
 		}
 		for _, op := range ops {
 			tk := pool[int(op)%len(pool)]
-			switch int(op) % 4 {
+			switch int(op) % 6 {
 			case 0:
 				if !tk.OnRunqueue() && !tk.HasCPU {
 					s.AddToRunqueue(tk)
@@ -207,6 +207,14 @@ func TestRandomOpsKeepCountsConsistent(t *testing.T) {
 					// Immediately return it to keep churn going.
 					res.Next.HasCPU = false
 					s.AddToRunqueue(res.Next)
+				}
+			case 4: // hotplug: drain one CPU's queue, then re-file its tasks
+				for _, tk := range s.DrainCPU(rng.Intn(env.NCPU), nil) {
+					s.AddToRunqueue(tk)
+				}
+			case 5: // policy swap: export everything, then re-import
+				for _, tk := range s.ExportRunnable() {
+					s.AddToRunqueue(tk)
 				}
 			}
 			total := 0

@@ -227,6 +227,8 @@ type Sched struct {
 	env *sched.Env
 	cfg Config
 	rqs []runqueue
+	// total is the sum of every queue's len(), kept so Runnable is O(1).
+	total int
 
 	// bonusLevels counts SCHED_OTHER enqueues by dynamic-priority bonus
 	// (index 0 = -maxBonus), the interactivity estimator's observable
@@ -372,6 +374,7 @@ func (s *Sched) enqueue(t *task.Task, cpu, arrayIdx int, front bool) {
 	}
 	arr.setBit(lvl)
 	arr.count++
+	s.total++
 	if arrayIdx != rq.activeIdx && arr.count == 1 {
 		// The expired array just became non-empty: start (or restart)
 		// the starvation clock.
@@ -464,6 +467,7 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 	arr := &s.rqs[t.QIndex].arrays[arrayIdx]
 	arr.lists[lvl].Remove(&t.RunList)
 	arr.count--
+	s.total--
 	if arr.lists[lvl].Empty() {
 		arr.clearBit(lvl)
 	}
@@ -491,13 +495,7 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 
 // Runnable returns the number of queued tasks; running tasks are
 // dequeued while they execute, as in 2.5.
-func (s *Sched) Runnable() int {
-	n := 0
-	for i := range s.rqs {
-		n += s.rqs[i].len()
-	}
-	return n
-}
+func (s *Sched) Runnable() int { return s.total }
 
 // OnRunqueue reports whether the scheduler currently tracks t.
 func (s *Sched) OnRunqueue(t *task.Task) bool { return t.OnRunqueue() }

@@ -323,6 +323,54 @@ func TestNoTaskLostOrDuplicated(t *testing.T) {
 	}
 }
 
+// TestRunnableMatchesQueueLengths checks the running total behind the
+// O(1) Runnable against the per-queue lengths across every path that
+// moves a queue length: adds (active and expired), dispatch, idle steal,
+// periodic pull, removal, per-CPU drain and the full export.
+func TestRunnableMatchesQueueLengths(t *testing.T) {
+	env := newNumaEnv(4, 2, 12)
+	s := New(env)
+	check := func(step string) {
+		t.Helper()
+		sum := 0
+		for q := 0; q < env.NCPU; q++ {
+			sum += s.QueueLen(q)
+		}
+		if got := s.Runnable(); got != sum {
+			t.Fatalf("after %s: Runnable()=%d, queue lengths sum to %d", step, got, sum)
+		}
+	}
+	tasks := make([]*task.Task, 12)
+	for i := range tasks {
+		tasks[i] = homedTask(env, i+1, 1+i%2)
+		if i%3 == 0 {
+			tasks[i].SetCounter(env.Epoch, 0) // files into expired
+		}
+		s.AddToRunqueue(tasks[i])
+		check("add")
+	}
+	s.Schedule(0, idlePrev()) // CPU 0's queue is empty: steal
+	check("steal")
+	var res sched.Result
+	s.Pull(3, &res)
+	check("pull")
+	s.DelFromRunqueue(tasks[1])
+	check("del")
+	drained := s.DrainCPU(1, nil)
+	check("drain")
+	for _, tk := range drained {
+		s.AddToRunqueue(tk)
+		check("re-add")
+	}
+	if out := s.ExportRunnable(); len(out) == 0 {
+		t.Fatal("export returned nothing from a populated scheduler")
+	}
+	check("export")
+	if s.Runnable() != 0 {
+		t.Fatalf("Runnable()=%d after export, want 0", s.Runnable())
+	}
+}
+
 func TestExpiredNotStarvedByUnpickableStraggler(t *testing.T) {
 	env := newEnv(2, 2)
 	s := New(env)
