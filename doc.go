@@ -94,11 +94,11 @@
 // and round-robins same-level interactive tasks every GranularityTicks.
 // The kernel wake path adds SD_WAKE_IDLE placement: a syscall-context
 // wake prefers an idle CPU in the task's own cache domain, then the
-// waker's. O1Config exposes InteractivityOff, InteractiveDelta,
-// GranularityTicks, and WakeIdleOff; Stats counts WakeIdlePlacements and
-// TimesliceRotations, and the cross-policy latency invariant suite in
-// internal/sched/conformance holds every policy to a bounded
-// wakeup-to-run worst case.
+// waker's. O1Config exposes InteractivityOff, GranularityTicks, and
+// WakeIdleOff (the interactivity threshold is 2.6's fixed delta of 2);
+// Stats counts WakeIdlePlacements and TimesliceRotations, and the
+// cross-policy latency invariant suite in internal/sched/conformance
+// holds every policy to a bounded wakeup-to-run worst case.
 //
 // # CPU hotplug and the watchdog
 //

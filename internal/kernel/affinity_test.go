@@ -153,10 +153,6 @@ func TestMPStatPerCPUBreakdown(t *testing.T) {
 	if idle == 0 {
 		t.Fatal("a 2-CPU machine with one task must accumulate idle time")
 	}
-	out := m.MPStat()
-	if !contains(out, "UTIL") || !contains(out, "CPU") {
-		t.Fatalf("mpstat render:\n%s", out)
-	}
 }
 
 func TestCPUStatUtilizationBounds(t *testing.T) {

@@ -25,7 +25,7 @@ type CPU struct {
 	// online is false while the CPU is hot-unplugged: it runs nothing,
 	// its timer chain parks itself, and IPIs landing here are re-routed.
 	// offlineFrom stamps the current offline stretch; offlineAccum and
-	// offlines total completed stretches for MPStat.
+	// offlines total completed stretches for CPUStats.
 	online       bool
 	offlineFrom  sim.Time
 	offlineAccum uint64
@@ -43,7 +43,7 @@ type CPU struct {
 	// offline (OnlineCPU re-anchors it at online+period, matching what a
 	// non-tickless online would arm); ticklessFrom stamps the current
 	// parked stretch and ticklessAccum totals completed stretches for
-	// MPStat's tickless residency column.
+	// CPUStats' tickless residency column.
 	tickParked    bool
 	tickNext      sim.Time
 	ticklessFrom  sim.Time
@@ -69,7 +69,7 @@ type CPU struct {
 	// executed here, the pollution clock for the cache model.
 	work uint64
 	// idleAccum totals completed idle stretches; dispatches counts
-	// context switches completed here (both feed MPStat).
+	// context switches completed here (both feed CPUStats).
 	idleAccum  uint64
 	dispatches uint64
 }
@@ -236,11 +236,11 @@ func (c *CPU) tick(now sim.Time) {
 			// would have found the CPU idle with nothing to do.
 			m.stats.TickCycles += m.env.Cost.TickCost
 			c.tickParked = true
-			c.tickNext = now + sim.Time(m.cfg.TickCycles)
+			c.tickNext = now + sim.Time(DefaultTickCycles)
 			c.ticklessFrom = now
 			return
 		}
-		m.eng.ScheduleAfter(c.tickEv, m.cfg.TickCycles)
+		m.eng.ScheduleAfter(c.tickEv, DefaultTickCycles)
 		m.stats.TickCycles += m.env.Cost.TickCost
 		if rescue {
 			m.reschedule(c, now)
@@ -259,7 +259,7 @@ func (c *CPU) tick(now sim.Time) {
 		}
 		return
 	}
-	m.eng.ScheduleAfter(c.tickEv, m.cfg.TickCycles)
+	m.eng.ScheduleAfter(c.tickEv, DefaultTickCycles)
 	m.stats.TickCycles += m.env.Cost.TickCost
 	if c.transitioning {
 		return
@@ -315,9 +315,9 @@ func (c *CPU) ensureTick(now sim.Time) {
 	}
 	m := c.m
 	if c.tickNext <= now {
-		k := uint64(now-c.tickNext)/m.cfg.TickCycles + 1
+		k := uint64(now-c.tickNext)/DefaultTickCycles + 1
 		m.stats.TicksSkipped += k
-		c.tickNext += sim.Time(k * m.cfg.TickCycles)
+		c.tickNext += sim.Time(k * DefaultTickCycles)
 	}
 	m.eng.Schedule(c.tickEv, c.tickNext)
 	c.tickParked = false
@@ -677,32 +677,40 @@ func (c *CPU) dispatchArrive(now sim.Time) {
 func (m *Machine) offlineDispatch(c *CPU, p *Proc, now sim.Time) {
 	c.transitioning = false
 	c.needResched = false
-	if p == nil {
-		return
+	if p != nil && m.releaseClaimed(c, p, now) {
+		m.rescheduleIdle(p)
 	}
+}
+
+// releaseClaimed hands a task claimed (HasCPU) by CPU c back to the run
+// queue: the task OfflineCPU preempts, and the one an in-flight dispatch
+// delivers to a CPU that went offline meanwhile. It reports whether the
+// task was runnable and so re-filed.
+//
+// Del-then-Add: under the global policies the claimed task still carries
+// the run-list marker even though Schedule pulled it out of the structure
+// (footnote 3), so a bare "re-add if not on queue" would skip it and
+// strand the task — marked queued, in no list, invisible to every
+// scheduler count (fuzzer seed -74). DelFromRunqueue clears the illusion
+// (or the real listing, for policies that keep running tasks listed) and
+// the re-add files it where survivors can pick it.
+func (m *Machine) releaseClaimed(c *CPU, p *Proc, now sim.Time) bool {
 	t := p.Task
 	if m.noter != nil && t.OnRunqueue() {
 		m.noter.NoteRunning(t, false)
 	}
 	t.HasCPU = false
 	p.workStamp = c.work
-	if t.Runnable() {
-		// Del-then-Add, like the OfflineCPU preempt path: under the global
-		// policies the claimed task still carries the run-list marker even
-		// though Schedule pulled it out of the structure (footnote 3), so a
-		// bare "re-add if not on queue" would skip it and strand the task —
-		// marked queued, in no list, invisible to every scheduler count
-		// (fuzzer seed -74). DelFromRunqueue clears the illusion (or the
-		// real listing, for policies that keep running tasks listed) and the
-		// re-add files it where survivors can pick it.
-		if m.sched.OnRunqueue(t) {
-			m.sched.DelFromRunqueue(t)
-		}
-		sched.ResetQueueState(t)
-		m.sched.AddToRunqueue(t)
-		m.rqLockOfTask(t).bump(now, m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
-		m.rescheduleIdle(p)
+	if !t.Runnable() {
+		return false
 	}
+	if m.sched.OnRunqueue(t) {
+		m.sched.DelFromRunqueue(t)
+	}
+	sched.ResetQueueState(t)
+	m.sched.AddToRunqueue(t)
+	m.rqLockOfTask(t).bump(now, m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
+	return true
 }
 
 // dispatch completes the context switch started by reschedule.

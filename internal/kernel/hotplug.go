@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 
-	"elsc/internal/sched"
 	"elsc/internal/sim"
 )
 
@@ -72,23 +71,10 @@ func (m *Machine) OfflineCPU(id int) error {
 
 	// Preempt and detach the victim's running task.
 	if p := c.current; p != nil {
-		t := p.Task
 		c.interrupt(now)
-		t.InvSwitches++
-		if m.noter != nil && t.OnRunqueue() {
-			m.noter.NoteRunning(t, false)
-		}
-		t.HasCPU = false
-		p.workStamp = c.work
+		p.Task.InvSwitches++
 		c.current = nil
-		if t.Runnable() {
-			if m.sched.OnRunqueue(t) {
-				m.sched.DelFromRunqueue(t)
-			}
-			sched.ResetQueueState(t)
-			m.sched.AddToRunqueue(t)
-			m.rqLockOfTask(t).bump(now, m.env.Cost.AddRunqueue+m.env.Cost.LockOp)
-		}
+		m.releaseClaimed(c, p, now)
 	}
 	// A dispatch in flight is left alone: dispatchArrive sees the offline
 	// CPU and releases its claimed task back to the queue. The pending
@@ -139,7 +125,7 @@ func (m *Machine) OnlineCPU(id int) error {
 		// queued event would panic.)
 		if m.cfg.TicklessOff {
 			// Restart it one period out, as the pre-tickless kernel did.
-			m.eng.ScheduleAfter(c.tickEv, m.cfg.TickCycles)
+			m.eng.ScheduleAfter(c.tickEv, DefaultTickCycles)
 			c.tickParked = false
 			c.tickNext = 0
 		} else {
@@ -156,12 +142,12 @@ func (m *Machine) OnlineCPU(id int) error {
 			//     now+period — exactly what the always-on chain's
 			//     online re-arm would have made it.
 			if c.tickNext != 0 && c.tickNext <= c.offlineFrom {
-				k := uint64(c.offlineFrom-c.tickNext)/m.cfg.TickCycles + 1
+				k := uint64(c.offlineFrom-c.tickNext)/DefaultTickCycles + 1
 				m.stats.TicksSkipped += k
-				c.tickNext += sim.Time(k * m.cfg.TickCycles)
+				c.tickNext += sim.Time(k * DefaultTickCycles)
 			}
 			if c.tickNext == 0 || now >= c.tickNext {
-				c.tickNext = now + sim.Time(m.cfg.TickCycles)
+				c.tickNext = now + sim.Time(DefaultTickCycles)
 			}
 			c.tickParked = true
 			c.ticklessFrom = now

@@ -53,10 +53,6 @@ type Config struct {
 	// exactly CPUs processors; dispatches that cross a domain boundary
 	// pay Cost.CrossDomainRefillMax instead of CacheRefillMax.
 	Topology *sched.Topology
-	// Hz is the CPU clock in cycles/second (default 400 MHz).
-	Hz uint64
-	// TickCycles is the timer period (default Hz/100 = 10 ms).
-	TickCycles uint64
 	// Seed drives all randomness in the machine and its workloads.
 	Seed int64
 	// NewScheduler builds the policy; nil panics.
@@ -206,12 +202,6 @@ func NewMachine(cfg Config) *Machine {
 		panic(fmt.Sprintf("kernel: topology covers %d CPUs, machine has %d",
 			cfg.Topology.NumCPU(), cfg.CPUs))
 	}
-	if cfg.Hz == 0 {
-		cfg.Hz = DefaultHz
-	}
-	if cfg.TickCycles == 0 {
-		cfg.TickCycles = cfg.Hz / 100
-	}
 	m := &Machine{
 		cfg:      cfg,
 		eng:      cfg.Engine,
@@ -232,16 +222,7 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.Cost != nil {
 		m.env.Cost = *cfg.Cost
 	}
-	m.sched = cfg.NewScheduler(m.env)
-	m.noter, _ = m.sched.(runningNoter)
-	m.preempter, _ = m.sched.(preemptComparer)
-	m.ticker, _ = m.sched.(tickPreempter)
-	m.placer, _ = m.sched.(wakePlacer)
-	nlocks := 1
-	if pc, ok := m.sched.(perCPUQueues); ok && pc.PerCPU() {
-		nlocks = cfg.CPUs
-	}
-	m.rqLocks = make([]spinlock, nlocks)
+	m.bindPolicy(cfg.NewScheduler)
 
 	m.cpus = make([]*CPU, cfg.CPUs)
 	for i := range m.cpus {
@@ -260,12 +241,30 @@ func NewMachine(cfg Config) *Machine {
 		m.cpus[i] = c
 		// Stagger per-CPU timer interrupts slightly so four CPUs do
 		// not pile onto the run-queue lock at the exact same instant.
-		m.eng.Schedule(c.tickEv, sim.Time(cfg.TickCycles+uint64(i)*997))
+		m.eng.Schedule(c.tickEv, sim.Time(DefaultTickCycles+uint64(i)*997))
 	}
 	if cfg.Watchdog != nil {
 		m.EnableWatchdog(*cfg.Watchdog)
 	}
 	return m
+}
+
+// bindPolicy builds the policy from factory together with everything
+// shaped by it: the optional kernel hooks it implements and a fresh
+// run-queue lock set — one global lock, or one per CPU for policies that
+// advertise PerCPU queues.
+func (m *Machine) bindPolicy(factory SchedulerFactory) {
+	m.cfg.NewScheduler = factory
+	m.sched = factory(m.env)
+	m.noter, _ = m.sched.(runningNoter)
+	m.preempter, _ = m.sched.(preemptComparer)
+	m.ticker, _ = m.sched.(tickPreempter)
+	m.placer, _ = m.sched.(wakePlacer)
+	nlocks := 1
+	if pc, ok := m.sched.(perCPUQueues); ok && pc.PerCPU() {
+		nlocks = m.cfg.CPUs
+	}
+	m.rqLocks = make([]spinlock, nlocks)
 }
 
 // Engine exposes the event engine (workloads schedule helper events).
@@ -312,12 +311,12 @@ func (m *Machine) rqLockOfTask(t *task.Task) *spinlock {
 // Now returns current virtual time in cycles.
 func (m *Machine) Now() sim.Time { return m.eng.Now() }
 
-// Hz returns the configured clock rate.
-func (m *Machine) Hz() uint64 { return m.cfg.Hz }
+// Hz returns the simulated clock rate, DefaultHz.
+func (m *Machine) Hz() uint64 { return DefaultHz }
 
 // Seconds converts the current virtual time to seconds.
 func (m *Machine) Seconds() float64 {
-	return float64(m.eng.Now()) / float64(m.cfg.Hz)
+	return float64(m.eng.Now()) / float64(DefaultHz)
 }
 
 // Alive returns the number of live (non-exited) tasks.
@@ -432,9 +431,9 @@ func (m *Machine) Run(stop func() bool) {
 		// ensureTick) never counts the same instants twice. Same ≤-now
 		// convention as ensureTick.
 		if c.online && c.tickParked && c.tickNext != 0 && c.tickNext <= m.eng.Now() {
-			k := uint64(m.eng.Now()-c.tickNext)/m.cfg.TickCycles + 1
+			k := uint64(m.eng.Now()-c.tickNext)/DefaultTickCycles + 1
 			m.stats.TicksSkipped += k
-			c.tickNext += sim.Time(k * m.cfg.TickCycles)
+			c.tickNext += sim.Time(k * DefaultTickCycles)
 		}
 	}
 }
@@ -913,17 +912,7 @@ func (m *Machine) SwitchPolicy(factory SchedulerFactory) int {
 		m.lockAcqBase += m.rqLocks[i].acquisitions
 		m.lockContBase += m.rqLocks[i].contended
 	}
-	m.cfg.NewScheduler = factory
-	m.sched = factory(m.env)
-	m.noter, _ = m.sched.(runningNoter)
-	m.preempter, _ = m.sched.(preemptComparer)
-	m.ticker, _ = m.sched.(tickPreempter)
-	m.placer, _ = m.sched.(wakePlacer)
-	nlocks := 1
-	if pc, ok := m.sched.(perCPUQueues); ok && pc.PerCPU() {
-		nlocks = m.cfg.CPUs
-	}
-	m.rqLocks = make([]spinlock, nlocks)
+	m.bindPolicy(factory)
 
 	// Import in export order, then hand running tasks to a successor that
 	// keeps them listed (the stock scheduler; AddToRunqueue sees HasCPU

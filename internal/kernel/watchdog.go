@@ -84,9 +84,9 @@ type WatchdogConfig struct {
 	OnViolation func(WatchdogViolation)
 }
 
-func (c WatchdogConfig) withDefaults(tickCycles uint64) WatchdogConfig {
+func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	if c.PeriodCycles == 0 {
-		c.PeriodCycles = 10 * tickCycles
+		c.PeriodCycles = 10 * DefaultTickCycles
 	}
 	if c.StarveQuanta == 0 {
 		c.StarveQuanta = 8
@@ -110,7 +110,7 @@ func (m *Machine) EnableWatchdog(cfg WatchdogConfig) {
 	if m.watchdog != nil {
 		return
 	}
-	wd := &watchdog{m: m, cfg: cfg.withDefaults(m.cfg.TickCycles)}
+	wd := &watchdog{m: m, cfg: cfg.withDefaults()}
 	wd.ev = m.eng.NewPeriodicEvent("watchdog", wd.sweep)
 	m.watchdog = wd
 	m.stats.WatchdogEnabled = true
@@ -226,7 +226,7 @@ func (wd *watchdog) waited(p *Proc, now sim.Time) uint64 {
 // machine is (with k runnable tasks per online CPU, waiting k quanta is
 // fair-share behavior, not starvation).
 func (wd *watchdog) threshold(yardTicks, runnable, online int) float64 {
-	quantum := float64(uint64(yardTicks) * wd.m.cfg.TickCycles)
+	quantum := float64(uint64(yardTicks) * DefaultTickCycles)
 	load := 1.0
 	if online > 0 {
 		load += float64(runnable) / float64(online)

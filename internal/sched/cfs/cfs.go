@@ -10,9 +10,11 @@
 // double the weight of another receives double the CPU time. Every
 // processor owns a private queue (the kernel detects the PerCPU marker
 // and splits the run-queue lock) holding an indexed binary min-heap of
-// SCHED_OTHER tasks ordered by virtual runtime — no container/heap
-// boxing, zero allocations in steady state — plus a small priority
-// array for real-time tasks, which always outrank fair ones.
+// SCHED_OTHER tasks ordered by virtual runtime (the shared
+// sched.TaskHeap: no container/heap boxing, zero allocations in steady
+// state) plus a small priority array for real-time tasks, which always
+// outrank fair ones (the shared sched.PrioArray, sized to the 100
+// rt_priority levels).
 //
 // A task's vruntime advances by executed-cycles x 1024/weight whenever
 // it comes back through Schedule, so heavier tasks age slower and
@@ -36,9 +38,6 @@
 package cfs
 
 import (
-	"math/bits"
-
-	"elsc/internal/klist"
 	"elsc/internal/sched"
 	"elsc/internal/task"
 )
@@ -55,10 +54,15 @@ const (
 	periodTicks  = 20
 	minGranTicks = 2
 
-	// rtLevels reserves one level per rt_priority value (0..99), best
-	// (highest rt_priority) at index 0 as in the o1 arrays.
-	rtLevels = task.MaxRTPriority + 1
-	rtWords  = (rtLevels + 63) / 64
+	// tickCycles is one timer tick in simulated cycles: 10ms at the
+	// 400 MHz machine every spec runs. It scales the vruntime-
+	// denominated constants below.
+	tickCycles = 4_000_000
+	// sleeperBonus is the placement clamp: one latency period.
+	sleeperBonus = periodTicks * tickCycles
+	// wakeGran is the wakeup/tick preemption hysteresis: an eighth of a
+	// tick.
+	wakeGran = tickCycles / 8
 )
 
 // weightOf maps a static priority onto the CFS prio_to_weight table:
@@ -89,161 +93,23 @@ func Weight(prio int) uint64 {
 	return prioToWeight[idx]
 }
 
-// Config tunes the fair scheduler. The zero value selects the defaults.
-type Config struct {
-	// TickCycles is one timer tick in simulated cycles (default 4M: 10ms
-	// at the 400 MHz machine every spec runs). It scales the vruntime-
-	// denominated constants — the sleeper clamp bonus and the wakeup
-	// preemption granularity.
-	TickCycles uint64
-}
-
-func (c Config) withDefaults() Config {
-	if c.TickCycles == 0 {
-		c.TickCycles = 4_000_000
-	}
-	return c
-}
-
-// fentry is one fair-heap element. The enqueue-time key is copied into
-// the entry so removal subtracts exactly the weight it added even if the
-// task's priority mutated while queued (the kernel always del/adds
-// around mutations, but the bookkeeping must not depend on it).
-type fentry struct {
-	t      *task.Task
-	vr     uint64
-	order  int64
-	weight uint64
-}
-
-// fheap is an indexed binary min-heap of fair tasks ordered by
-// (vruntime asc, order asc). The held task's QStamp stores its position;
-// swaps update it in place, so removal never searches.
-type fheap struct {
-	es []fentry
-}
-
-func (h *fheap) len() int { return len(h.es) }
-
-func (h *fheap) less(i, j int) bool {
-	if h.es[i].vr != h.es[j].vr {
-		return h.es[i].vr < h.es[j].vr
-	}
-	return h.es[i].order < h.es[j].order
-}
-
-func (h *fheap) swap(i, j int) {
-	h.es[i], h.es[j] = h.es[j], h.es[i]
-	h.es[i].t.QStamp = uint64(i)
-	h.es[j].t.QStamp = uint64(j)
-}
-
-func (h *fheap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *fheap) down(i int) {
-	n := len(h.es)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.less(l, best) {
-			best = l
-		}
-		if r < n && h.less(r, best) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h.swap(i, best)
-		i = best
-	}
-}
-
-func (h *fheap) push(e fentry) {
-	e.t.QStamp = uint64(len(h.es))
-	h.es = append(h.es, e)
-	h.up(len(h.es) - 1)
-}
-
-func (h *fheap) removeAt(i int) fentry {
-	n := len(h.es) - 1
-	if i < 0 || i > n {
-		panic("cfs: heap removeAt out of range")
-	}
-	h.swap(i, n)
-	e := h.es[n]
-	h.es[n] = fentry{}
-	h.es = h.es[:n]
-	if i < n {
-		h.down(i)
-		h.up(i)
-	}
-	return e
-}
-
-// rtArray is the real-time side of a queue: one FIFO list per
-// rt_priority level with a find-first-set bitmap, exactly the o1 idiom.
-// Level 0 is the best (rt_priority 99).
-type rtArray struct {
-	bitmap [rtWords]uint64
-	lists  [rtLevels]klist.Head
-	count  int
-}
-
-func (a *rtArray) init() {
-	for i := range a.lists {
-		a.lists[i].Init()
-	}
-}
-
-func (a *rtArray) firstSet() int {
-	for w := 0; w < rtWords; w++ {
-		if a.bitmap[w] != 0 {
-			return w*64 + bits.TrailingZeros64(a.bitmap[w])
-		}
-	}
-	return -1
-}
-
-func (a *rtArray) nextSet(from int) int {
-	if from >= rtLevels {
-		return -1
-	}
-	w := from / 64
-	word := a.bitmap[w] &^ (1<<uint(from%64) - 1)
-	for {
-		if word != 0 {
-			return w*64 + bits.TrailingZeros64(word)
-		}
-		w++
-		if w >= rtWords {
-			return -1
-		}
-		word = a.bitmap[w]
-	}
-}
-
-func (a *rtArray) setBit(lvl int)   { a.bitmap[lvl/64] |= 1 << uint(lvl%64) }
-func (a *rtArray) clearBit(lvl int) { a.bitmap[lvl/64] &^= 1 << uint(lvl%64) }
-
+// rtLevelOf maps a real-time task onto one of the sched.RTLevels levels,
+// best (highest rt_priority) at level 0 as in the o1 arrays.
 func rtLevelOf(t *task.Task) int { return task.MaxRTPriority - t.RTPriority }
 
-// runqueue is one CPU's fair heap plus real-time array. minVR is the
+// runqueue is one CPU's fair heap plus real-time array. The fair heap
+// is a sched.TaskHeap keyed (vruntime, order), carrying each entry's
+// enqueue-time weight in Val so removal subtracts exactly the weight it
+// added even if the task's priority mutated while queued; a held task's
+// QStamp is its heap position. The real-time side is a sched.PrioArray
+// over the real-time levels, level 0 the best (rt_priority 99), QStamp
+// the level. minVR is the
 // monotone virtual clock the sleeper clamp and migration renorm anchor
 // to; maxVR is the high-watermark a yielding task is sent behind;
 // weight sums the queued fair entries' weights for slice computation.
 type runqueue struct {
-	fair  fheap
-	rt    rtArray
+	fair  sched.TaskHeap
+	rt    sched.PrioArray[sched.RTLevelLists]
 	minVR uint64
 	maxVR uint64
 
@@ -261,7 +127,7 @@ type runqueue struct {
 	currBase uint64
 }
 
-func (rq *runqueue) len() int { return rq.fair.len() + rq.rt.count }
+func (rq *runqueue) len() int { return rq.fair.Len() + rq.rt.Len() }
 
 // Sched is the weighted-vruntime fair scheduler. Create with New.
 type Sched struct {
@@ -270,31 +136,19 @@ type Sched struct {
 	sched.Balancer
 
 	env   *sched.Env
-	cfg   Config
 	rqs   []runqueue
 	total int
-
-	// vruntime-denominated tunables, derived from Config.TickCycles.
-	sleeperBonus uint64 // placement clamp: one latency period
-	wakeGran     uint64 // wakeup/tick preemption hysteresis: half a tick
 }
 
-// New returns a fair scheduler bound to env with the default config.
-func New(env *sched.Env) *Sched { return NewWithConfig(env, Config{}) }
-
-// NewWithConfig returns a fair scheduler with tuned knobs.
-func NewWithConfig(env *sched.Env, cfg Config) *Sched {
-	cfg = cfg.withDefaults()
+// New returns a fair scheduler bound to env.
+func New(env *sched.Env) *Sched {
 	s := &Sched{
-		env:          env,
-		cfg:          cfg,
-		rqs:          make([]runqueue, env.NCPU),
-		sleeperBonus: periodTicks * cfg.TickCycles,
-		wakeGran:     cfg.TickCycles / 8,
+		env: env,
+		rqs: make([]runqueue, env.NCPU),
 	}
 	s.Balancer = sched.NewBalancer(env, env.Topo, (*queues)(s))
 	for i := range s.rqs {
-		s.rqs[i].rt.init()
+		s.rqs[i].rt.Init()
 	}
 	return s
 }
@@ -322,7 +176,7 @@ func (q *queues) Len(cpu int) int { return q.rqs[cpu].len() }
 // throughput.
 func (q *queues) Movable(victim, cpu int, res *sched.Result) *task.Task {
 	s := (*Sched)(q)
-	if t := s.pickRT(&s.rqs[victim], cpu, res); t != nil {
+	if t := s.rqs[victim].rt.Pick(s.env, cpu, res); t != nil {
 		return t
 	}
 	return s.pickFair(&s.rqs[victim], cpu, res)
@@ -353,8 +207,8 @@ func (q *queues) Migrate(t *task.Task, victim, cpu int, steal bool, res *sched.R
 // clock and waits its turn.
 func (s *Sched) placeClamp(t *task.Task, rq *runqueue) {
 	floor := uint64(0)
-	if rq.minVR > s.sleeperBonus {
-		floor = rq.minVR - s.sleeperBonus
+	if rq.minVR > sleeperBonus {
+		floor = rq.minVR - sleeperBonus
 	}
 	if t.VRuntime < floor {
 		t.VRuntime = floor
@@ -375,7 +229,7 @@ func (s *Sched) enqueueFair(t *task.Task, cpu int, front bool) {
 		order = rq.backSeq
 	}
 	w := Weight(t.Priority)
-	rq.fair.push(fentry{t: t, vr: t.VRuntime, order: order, weight: w})
+	rq.fair.Push(sched.HeapEntry{T: t, Key: t.VRuntime, Tie: order, Val: w})
 	rq.weight += w
 	if t.VRuntime > rq.maxVR {
 		rq.maxVR = t.VRuntime
@@ -389,13 +243,7 @@ func (s *Sched) enqueueFair(t *task.Task, cpu int, front bool) {
 func (s *Sched) enqueueRT(t *task.Task, cpu int, front bool) {
 	rq := &s.rqs[cpu]
 	lvl := rtLevelOf(t)
-	if front {
-		rq.rt.lists[lvl].PushFront(&t.RunList)
-	} else {
-		rq.rt.lists[lvl].PushBack(&t.RunList)
-	}
-	rq.rt.setBit(lvl)
-	rq.rt.count++
+	rq.rt.Push(t, lvl, front)
 	t.QIndex = cpu
 	t.QStamp = uint64(lvl)
 	t.QZero = true
@@ -477,15 +325,9 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 	}
 	rq := &s.rqs[t.QIndex]
 	if t.RunList.OnList() {
-		lvl := int(t.QStamp)
-		rq.rt.lists[lvl].Remove(&t.RunList)
-		rq.rt.count--
-		if rq.rt.lists[lvl].Empty() {
-			rq.rt.clearBit(lvl)
-		}
+		rq.rt.Remove(t, int(t.QStamp))
 	} else {
-		e := rq.fair.removeAt(int(t.QStamp))
-		rq.weight -= e.weight
+		rq.weight -= rq.fair.RemoveAt(int(t.QStamp)).Val
 	}
 	t.QZero = false
 	s.total--
@@ -498,7 +340,7 @@ func (s *Sched) MoveFirstRunqueue(t *task.Task) {
 	}
 	cpu := t.QIndex
 	if t.RunList.OnList() {
-		s.rqs[cpu].rt.lists[int(t.QStamp)].MoveFront(&t.RunList)
+		s.rqs[cpu].rt.MoveFront(t, int(t.QStamp))
 		return
 	}
 	s.DelFromRunqueue(t)
@@ -512,7 +354,7 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 	}
 	cpu := t.QIndex
 	if t.RunList.OnList() {
-		s.rqs[cpu].rt.lists[int(t.QStamp)].MoveBack(&t.RunList)
+		s.rqs[cpu].rt.MoveBack(t, int(t.QStamp))
 		return
 	}
 	s.DelFromRunqueue(t)
@@ -557,7 +399,7 @@ func (rq *runqueue) advance(prev *task.Task) {
 // cpu's fair heap.
 func (s *Sched) logCost(cpu int) uint64 {
 	cost := uint64(0)
-	for n := s.rqs[cpu].fair.len(); n > 1; n >>= 1 {
+	for n := s.rqs[cpu].fair.Len(); n > 1; n >>= 1 {
 		cost += 35
 	}
 	return cost
@@ -641,68 +483,40 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 	return res
 }
 
-// pickable mirrors the kernel's can_schedule: not running elsewhere and
-// allowed here.
-func pickable(t *task.Task, cpu int) bool {
-	return (!t.HasCPU || t.Processor == cpu) && t.AllowedOn(cpu)
-}
-
 // pickLocal selects from cpu's own queue: best real-time level first,
 // then the fair heap root. When the root is unpickable (running
 // elsewhere mid-claim, or an affinity straggler sched.Home's fallback
 // filed here) the heap array is scanned for the minimum pickable entry.
 func (s *Sched) pickLocal(cpu int, res *sched.Result) *task.Task {
-	if t := s.pickRT(&s.rqs[cpu], cpu, res); t != nil {
+	if t := s.rqs[cpu].rt.Pick(s.env, cpu, res); t != nil {
 		return t
 	}
 	return s.pickFair(&s.rqs[cpu], cpu, res)
 }
 
-func (s *Sched) pickRT(rq *runqueue, cpu int, res *sched.Result) *task.Task {
-	env := s.env
-	for lvl := rq.rt.firstSet(); lvl >= 0; lvl = rq.rt.nextSet(lvl + 1) {
-		res.Cycles += env.Cost.BitmapOp
-		var found *task.Task
-		rq.rt.lists[lvl].ForEach(func(n *klist.Node) bool {
-			t := task.FromNode(n)
-			res.Examined++
-			res.Cycles += env.Cost.Touch(env.NCPU)
-			if !pickable(t, cpu) {
-				return true
-			}
-			found = t
-			return false
-		})
-		if found != nil {
-			return found
-		}
-	}
-	return nil
-}
-
 func (s *Sched) pickFair(rq *runqueue, cpu int, res *sched.Result) *task.Task {
 	env := s.env
-	if rq.fair.len() == 0 {
+	if rq.fair.Len() == 0 {
 		return nil
 	}
-	root := rq.fair.es[0].t
+	root := rq.fair.At(0).T
 	res.Examined++
 	res.Cycles += env.Cost.Touch(env.NCPU)
-	if pickable(root, cpu) {
+	if sched.CanSchedule(root, cpu) {
 		return root
 	}
 	// Rare path: the O(1) root is unpickable; find the least-vruntime
 	// pickable entry by scanning the backing array.
 	var best *task.Task
 	bi := -1
-	for i := 1; i < len(rq.fair.es); i++ {
+	for i := 1; i < rq.fair.Len(); i++ {
 		res.Examined++
 		res.Cycles += env.Cost.Touch(env.NCPU)
-		t := rq.fair.es[i].t
-		if !pickable(t, cpu) {
+		t := rq.fair.At(i).T
+		if !sched.CanSchedule(t, cpu) {
 			continue
 		}
-		if bi < 0 || rq.fair.less(i, bi) {
+		if bi < 0 || rq.fair.Less(i, bi) {
 			best, bi = t, i
 		}
 	}
@@ -724,18 +538,11 @@ func (s *Sched) ExportRunnable() []*task.Task {
 // structures so its tasks can be re-filed on surviving queues.
 func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task {
 	rq := &s.rqs[cpu]
-	for {
-		lvl := rq.rt.firstSet()
-		if lvl < 0 {
-			break
-		}
-		t := task.FromNode(rq.rt.lists[lvl].First())
-		s.DelFromRunqueue(t)
-		sched.ResetQueueState(t)
-		out = append(out, t)
-	}
-	for rq.fair.len() > 0 {
-		t := rq.fair.es[0].t
+	n := len(out)
+	out = rq.rt.Drain(out)
+	s.total -= len(out) - n
+	for rq.fair.Len() > 0 {
+		t := rq.fair.At(0).T
 		s.DelFromRunqueue(t)
 		sched.ResetQueueState(t)
 		out = append(out, t)
@@ -773,7 +580,7 @@ func (s *Sched) PreemptsCurr(t, curr *task.Task) bool {
 	if curr.RealTime() {
 		return false
 	}
-	return t.VRuntime+s.wakeGran < s.effectiveVR(curr)
+	return t.VRuntime+wakeGran < s.effectiveVR(curr)
 }
 
 // TickPreempt implements the kernel's tick-time preemption hook, called
@@ -789,20 +596,17 @@ func (s *Sched) PreemptsCurr(t, curr *task.Task) bool {
 // same-level round-robin distinct from the vruntime order itself.
 func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	rq := &s.rqs[cpu]
-	if rq.rt.count > 0 {
-		if lvl := rq.rt.firstSet(); lvl >= 0 {
-			head := task.FromNode(rq.rt.lists[lvl].First())
-			if pickable(head, cpu) && (!t.RealTime() || lvl < rtLevelOf(t)) {
-				return true, false
-			}
+	if lvl := rq.rt.First(); lvl >= 0 {
+		if sched.CanSchedule(rq.rt.Head(lvl), cpu) && (!t.RealTime() || lvl < rtLevelOf(t)) {
+			return true, false
 		}
 	}
-	if t.RealTime() || rq.fair.len() == 0 {
+	if t.RealTime() || rq.fair.Len() == 0 {
 		return false, false
 	}
 	currVR := s.effectiveVR(t)
-	head := rq.fair.es[0].t
-	if pickable(head, cpu) && rq.fair.es[0].vr+s.wakeGran < currVR {
+	head := rq.fair.At(0)
+	if sched.CanSchedule(head.T, cpu) && head.Key+wakeGran < currVR {
 		return true, false
 	}
 	return false, false

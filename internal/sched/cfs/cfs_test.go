@@ -2,6 +2,7 @@ package cfs
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"elsc/internal/kernel"
@@ -217,14 +218,14 @@ func TestSleeperClampBound(t *testing.T) {
 		cur = schedule(s, 0, idle, cur)
 	}
 	minVR := s.MinVR(0)
-	if minVR <= s.sleeperBonus {
-		t.Fatalf("hogs advanced min_vruntime only to %d, not past the sleeper bonus %d", minVR, s.sleeperBonus)
+	if minVR <= sleeperBonus {
+		t.Fatalf("hogs advanced min_vruntime only to %d, not past the sleeper bonus %d", minVR, sleeperBonus)
 	}
 
 	// A long sleeper (vruntime 0) is pulled up to the floor, not beyond.
 	sleeper := mkTask(env, 3, 20, 4)
 	s.AddToRunqueue(sleeper)
-	if want := minVR - s.sleeperBonus; sleeper.VRuntime != want {
+	if want := minVR - sleeperBonus; sleeper.VRuntime != want {
 		t.Fatalf("sleeper clamped to %d, want min_vruntime-bonus = %d", sleeper.VRuntime, want)
 	}
 
@@ -305,8 +306,8 @@ func TestTickPreemptRTLevelComparison(t *testing.T) {
 func TestAddToRunqueueRenormsOnRehome(t *testing.T) {
 	env := sched.NewEnv(2, true, func() int { return 4 })
 	s := New(env)
-	s.rqs[1].minVR = 50 * s.sleeperBonus // queue 1's clock ran far ahead
-	s.rqs[0].minVR = 3 * s.sleeperBonus
+	s.rqs[1].minVR = 50 * sleeperBonus // queue 1's clock ran far ahead
+	s.rqs[0].minVR = 3 * sleeperBonus
 
 	tk := mkTask(env, 1, 20, 4)
 	tk.EverRan = true
@@ -343,8 +344,8 @@ func TestMigrationKeepsLagToMinVR(t *testing.T) {
 	// greatest-lag task, d behind queue 1's clock.
 	env := sched.NewEnv(2, true, func() int { return 3 })
 	s := New(env)
-	s.rqs[1].minVR = 50 * s.sleeperBonus
-	s.rqs[0].minVR = 3 * s.sleeperBonus
+	s.rqs[1].minVR = 50 * sleeperBonus
+	s.rqs[0].minVR = 3 * sleeperBonus
 	lagging := homed(env, 1, s.rqs[1].minVR-d)
 	s.AddToRunqueue(lagging)
 	s.AddToRunqueue(homed(env, 2, s.rqs[1].minVR+d))
@@ -362,8 +363,8 @@ func TestMigrationKeepsLagToMinVR(t *testing.T) {
 	// clock, and dispatches it at once.
 	env = sched.NewEnv(2, true, func() int { return 1 })
 	s = New(env)
-	s.rqs[1].minVR = 50 * s.sleeperBonus
-	s.rqs[0].minVR = 3 * s.sleeperBonus
+	s.rqs[1].minVR = 50 * sleeperBonus
+	s.rqs[0].minVR = 3 * sleeperBonus
 	thiefVR := s.rqs[0].minVR
 	leading := homed(env, 1, s.rqs[1].minVR+d)
 	s.AddToRunqueue(leading)
@@ -383,9 +384,9 @@ func TestMigrationKeepsLagToMinVR(t *testing.T) {
 func TestYieldRehomeRenormsBeforeWatermark(t *testing.T) {
 	env := sched.NewEnv(2, true, func() int { return 4 })
 	s := New(env)
-	s.rqs[0].minVR = 40 * s.sleeperBonus // fast clock where the task ran
-	s.rqs[1].minVR = 2 * s.sleeperBonus
-	s.rqs[1].maxVR = 2*s.sleeperBonus + 500
+	s.rqs[0].minVR = 40 * sleeperBonus // fast clock where the task ran
+	s.rqs[1].minVR = 2 * sleeperBonus
+	s.rqs[1].maxVR = 2*sleeperBonus + 500
 
 	prev := mkTask(env, 1, 20, 4)
 	prev.EverRan = true
@@ -402,8 +403,8 @@ func TestYieldRehomeRenormsBeforeWatermark(t *testing.T) {
 	// The renormed clock (min_vruntime+100) loses to the watermark park:
 	// the task lands at maxVR in queue-1 units, behind every queued task,
 	// not at its raw queue-0 clock far past it.
-	if prev.VRuntime != 2*s.sleeperBonus+500 {
-		t.Fatalf("yielded vruntime = %d, want the home queue watermark %d", prev.VRuntime, 2*s.sleeperBonus+500)
+	if prev.VRuntime != 2*sleeperBonus+500 {
+		t.Fatalf("yielded vruntime = %d, want the home queue watermark %d", prev.VRuntime, 2*sleeperBonus+500)
 	}
 }
 
@@ -432,5 +433,121 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule cycle allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// checkQueues is the fair policy's structural check: each queue's
+// real-time array and vruntime heap pass their own Check, every queued
+// task's stamps name the queue and slot holding it, each heap entry
+// carries its task's weight, the queue's weight sum matches its entries,
+// and Runnable matches the structures.
+func checkQueues(s *Sched) error {
+	total := 0
+	for q := range s.rqs {
+		rq := &s.rqs[q]
+		err := rq.rt.Check(func(tk *task.Task, lvl int) error {
+			if !tk.RealTime() || tk.QIndex != q || !tk.QZero || tk.QStamp != uint64(lvl) || lvl != rtLevelOf(tk) {
+				return fmt.Errorf("rt task %v filed at level %d, stamped q%d/%d queued=%v", tk, lvl, tk.QIndex, tk.QStamp, tk.QZero)
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("queue %d rt: %w", q, err)
+		}
+		if err := rq.fair.Check(); err != nil {
+			return fmt.Errorf("queue %d fair heap: %w", q, err)
+		}
+		var weight uint64
+		for i := 0; i < rq.fair.Len(); i++ {
+			e := rq.fair.At(i)
+			if e.T.RealTime() || e.T.QIndex != q || !e.T.QZero || e.T.RunList.OnList() {
+				return fmt.Errorf("queue %d slot %d: %v stamped q%d queued=%v", q, i, e.T, e.T.QIndex, e.T.QZero)
+			}
+			if e.Val != Weight(e.T.Priority) {
+				return fmt.Errorf("queue %d slot %d: weight %d, want %d", q, i, e.Val, Weight(e.T.Priority))
+			}
+			weight += e.Val
+		}
+		if weight != rq.weight {
+			return fmt.Errorf("queue %d weight %d, entries sum to %d", q, rq.weight, weight)
+		}
+		total += rq.len()
+	}
+	if s.Runnable() != total {
+		return fmt.Errorf("Runnable()=%d, queues hold %d", s.Runnable(), total)
+	}
+	return nil
+}
+
+// TestRandomOpsKeepQueuesConsistent drives random kernel-shaped
+// operations — wakes, dequeues, moves, schedules with blocking, yielding
+// and executed cycles, wake placement, and CPU drains — over fair and
+// real-time tasks, and runs the structural check after every one.
+func TestRandomOpsKeepQueuesConsistent(t *testing.T) {
+	const ncpu = 3
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		env := sched.NewEnv(ncpu, true, func() int { return 12 })
+		s := New(env)
+		var idles []*task.Task
+		for c := 0; c < ncpu; c++ {
+			idles = append(idles, mkIdle(c))
+		}
+		current := make([]*task.Task, ncpu)
+		var tasks []*task.Task
+		for i := 0; i < 12; i++ {
+			tk := mkTask(env, i+1, 1+rng.Intn(40), 1+rng.Intn(8))
+			switch i % 8 {
+			case 0:
+				tk = task.NewRT(i+1, fmt.Sprintf("fifo%d", i), task.FIFO, rng.Intn(100), env.Epoch)
+			case 4:
+				tk = task.NewRT(i+1, fmt.Sprintf("rr%d", i), task.RR, rng.Intn(100), env.Epoch)
+			}
+			tasks = append(tasks, tk)
+		}
+		var drained []*task.Task
+		for step := 0; step < 400; step++ {
+			tk := tasks[rng.Intn(len(tasks))]
+			cpu := rng.Intn(ncpu)
+			switch rng.Intn(9) {
+			case 0, 1: // wake
+				if !tk.HasCPU {
+					tk.State = task.Running
+					s.AddToRunqueue(tk)
+				}
+			case 2:
+				if !tk.HasCPU {
+					s.DelFromRunqueue(tk)
+				}
+			case 3:
+				s.MoveFirstRunqueue(tk)
+			case 4:
+				s.MoveLastRunqueue(tk)
+			case 5, 6: // the current task runs a while, maybe blocks or yields
+				if cur := current[cpu]; cur != nil {
+					cur.UserCycles += uint64(rng.Intn(8_000_000))
+					switch rng.Intn(4) {
+					case 0:
+						cur.State = task.Interruptible
+					case 1:
+						cur.Yielded = true
+					}
+				}
+				current[cpu] = schedule(s, cpu, idles[cpu], current[cpu])
+			case 7: // SD_WAKE_IDLE placement
+				if !tk.HasCPU {
+					tk.State = task.Running
+					s.PlaceWake(tk, cpu)
+				}
+			case 8: // drain a queue, re-file what it held
+				drained = s.DrainCPU(cpu, drained[:0])
+				for _, d := range drained {
+					s.AddToRunqueue(d)
+				}
+			}
+			if err := checkQueues(s); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+		}
 	}
 }

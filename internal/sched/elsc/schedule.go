@@ -67,9 +67,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			}
 			return res // idle
 		}
-		env.Epoch.Bump()
-		res.Recalcs++
-		res.Cycles += uint64(env.NTasks()) * env.Cost.RecalcPerTask
+		sched.Recalc(env, &res)
 		for i := 0; i < s.size; i++ {
 			s.nz[i] += s.z[i]
 			s.z[i] = 0
@@ -129,7 +127,7 @@ func (s *Sched) searchOther(idx, cpu int, prev *task.Task, yieldedPrev bool, lim
 		t := task.FromNode(n)
 		count++
 		res.Examined++
-		if (t.HasCPU && t.Processor != cpu) || !t.AllowedOn(cpu) {
+		if !sched.CanSchedule(t, cpu) {
 			// Still executing on another CPU, or pinned elsewhere;
 			// not schedulable here.
 			res.Cycles += env.Cost.Touch(env.NCPU)
@@ -179,7 +177,7 @@ func (s *Sched) searchRT(idx, cpu, limit int, res *sched.Result) *task.Task {
 		count++
 		res.Examined++
 		res.Cycles += env.Cost.Touch(env.NCPU)
-		if (t.HasCPU && t.Processor != cpu) || !t.AllowedOn(cpu) {
+		if !sched.CanSchedule(t, cpu) {
 			return count < limit
 		}
 		if best == nil || t.RTPriority > best.RTPriority {

@@ -15,6 +15,12 @@
 // counter recalculation changes every key, forcing an O(n) re-heapify —
 // exactly the "overhead of sorting" and "complexity when inserting or
 // removing tasks" §5 warns about. The ablation benchmarks quantify it.
+//
+// The heaps are the shared sched.TaskHeap, a min-heap, so each entry's
+// key is the complemented static goodness (^key): the root is the best
+// task, and the order (goodness desc, sequence asc) is exact. A queued
+// task's QIndex holds its heap id, QStamp its heap position, and QZero
+// marks membership.
 package heapsched
 
 import (
@@ -27,7 +33,7 @@ type Sched struct {
 	env *sched.Env
 	// heaps[cpu] holds tasks whose last run was on cpu; heaps[ncpu]
 	// holds tasks that have never run.
-	heaps []heap
+	heaps []sched.TaskHeap
 	seq   uint64
 	total int
 }
@@ -35,7 +41,7 @@ type Sched struct {
 // New returns a heap scheduler bound to env.
 func New(env *sched.Env) *Sched {
 	s := &Sched{env: env}
-	s.heaps = make([]heap, env.NCPU+1)
+	s.heaps = make([]sched.TaskHeap, env.NCPU+1)
 	return s
 }
 
@@ -69,13 +75,20 @@ func (s *Sched) AddToRunqueue(t *task.Task) {
 	if t.IsIdle {
 		panic("heapsched: idle task on run queue")
 	}
-	if t.QIndex >= 0 && t.QZero {
+	if t.QZero {
 		return // already queued
 	}
-	h := s.heapOf(t)
 	s.seq++
-	s.heaps[h].push(entry{t: t, key: key(s.env.Epoch, t), seq: s.seq}, h)
+	s.push(t, s.heapOf(t), s.seq)
 	s.total++
+}
+
+// push files t in heap h with tie-break seq: lower seq wins among equal
+// goodness.
+func (s *Sched) push(t *task.Task, h int, seq uint64) {
+	t.QIndex = h
+	t.QZero = true
+	s.heaps[h].Push(sched.HeapEntry{T: t, Key: ^uint64(key(s.env.Epoch, t)), Tie: int64(seq)})
 }
 
 // DelFromRunqueue removes t from whichever heap holds it.
@@ -83,9 +96,8 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 	if !t.QZero {
 		return
 	}
-	s.heaps[t.QStamp].removeAt(t.QIndex)
+	s.heaps[t.QIndex].RemoveAt(int(t.QStamp))
 	t.QZero = false
-	t.QIndex = -1
 	s.total--
 }
 
@@ -96,9 +108,9 @@ func (s *Sched) MoveFirstRunqueue(t *task.Task) {
 	if !t.QZero {
 		return
 	}
-	h := t.QStamp
-	s.heaps[h].removeAt(t.QIndex)
-	s.heaps[h].push(entry{t: t, key: key(s.env.Epoch, t), seq: 0}, int(h))
+	h := t.QIndex
+	s.heaps[h].RemoveAt(int(t.QStamp))
+	s.push(t, h, 0)
 }
 
 // MoveLastRunqueue pushes t behind its equals.
@@ -106,10 +118,10 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 	if !t.QZero {
 		return
 	}
-	h := t.QStamp
+	h := t.QIndex
 	s.seq++
-	s.heaps[h].removeAt(t.QIndex)
-	s.heaps[h].push(entry{t: t, key: key(s.env.Epoch, t), seq: s.seq}, int(h))
+	s.heaps[h].RemoveAt(int(t.QStamp))
+	s.push(t, h, s.seq)
 }
 
 // Runnable returns the number of queued tasks.
@@ -124,14 +136,11 @@ func (s *Sched) OnRunqueue(t *task.Task) bool { return t.QZero }
 func (s *Sched) ExportRunnable() []*task.Task {
 	out := make([]*task.Task, 0, s.total)
 	for h := range s.heaps {
-		for {
-			e, ok := s.heaps[h].peek()
-			if !ok {
-				break
-			}
-			s.DelFromRunqueue(e.t)
-			sched.ResetQueueState(e.t)
-			out = append(out, e.t)
+		for s.heaps[h].Len() > 0 {
+			t := s.heaps[h].At(0).T
+			s.DelFromRunqueue(t)
+			sched.ResetQueueState(t)
+			out = append(out, t)
 		}
 	}
 	return out
@@ -166,14 +175,13 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 		allExhausted := s.total > 0
 		sawBusy := false
 		for h := range s.heaps {
-			e, ok := s.heaps[h].peek()
-			if !ok {
+			if s.heaps[h].Len() == 0 {
 				continue
 			}
 			res.Examined++
 			res.Cycles += env.Cost.Evaluate(env.NCPU)
-			t := e.t
-			if (t.HasCPU && t.Processor != cpu) || !t.AllowedOn(cpu) {
+			t := s.heaps[h].At(0).T
+			if !sched.CanSchedule(t, cpu) {
 				// A top running elsewhere (or pinned elsewhere)
 				// hides its heap's second element — a structural
 				// blind spot of this design.
@@ -196,9 +204,8 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 		}
 		if best == nil && allExhausted && !sawBusy && attempt == 0 {
 			// Every top is exhausted: recalculate and re-heapify.
-			env.Epoch.Bump()
-			res.Recalcs++
-			res.Cycles += uint64(env.NTasks())*env.Cost.RecalcPerTask + s.reheapify()
+			sched.Recalc(env, &res)
+			res.Cycles += s.reheapify()
 			continue
 		}
 		if best == nil && yielded && prev.Runnable() && s.OnRunqueue(prev) {
@@ -228,108 +235,12 @@ func (s *Sched) logCost() uint64 {
 func (s *Sched) reheapify() uint64 {
 	var cost uint64
 	for h := range s.heaps {
-		for i := range s.heaps[h].es {
-			e := &s.heaps[h].es[i]
-			e.key = key(s.env.Epoch, e.t)
+		for i := 0; i < s.heaps[h].Len(); i++ {
+			e := s.heaps[h].At(i)
+			e.Key = ^uint64(key(s.env.Epoch, e.T))
 			cost += 40
 		}
-		s.heaps[h].rebuild(h)
+		s.heaps[h].Rebuild()
 	}
 	return cost
-}
-
-// entry is one heap element.
-type entry struct {
-	t   *task.Task
-	key int
-	seq uint64
-}
-
-// heap is a max-heap of entries ordered by (key desc, seq asc). The held
-// task's QIndex stores its position, QStamp the heap id, and QZero marks
-// membership.
-type heap struct {
-	es []entry
-}
-
-func (h *heap) less(i, j int) bool {
-	if h.es[i].key != h.es[j].key {
-		return h.es[i].key > h.es[j].key
-	}
-	return h.es[i].seq < h.es[j].seq
-}
-
-func (h *heap) swap(i, j int) {
-	h.es[i], h.es[j] = h.es[j], h.es[i]
-	h.es[i].t.QIndex = i
-	h.es[j].t.QIndex = j
-}
-
-func (h *heap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *heap) down(i int) {
-	n := len(h.es)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.less(l, best) {
-			best = l
-		}
-		if r < n && h.less(r, best) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h.swap(i, best)
-		i = best
-	}
-}
-
-func (h *heap) push(e entry, id int) {
-	e.t.QIndex = len(h.es)
-	e.t.QStamp = uint64(id)
-	e.t.QZero = true
-	h.es = append(h.es, e)
-	h.up(len(h.es) - 1)
-}
-
-func (h *heap) peek() (entry, bool) {
-	if len(h.es) == 0 {
-		return entry{}, false
-	}
-	return h.es[0], true
-}
-
-func (h *heap) removeAt(i int) {
-	n := len(h.es) - 1
-	if i < 0 || i > n {
-		panic("heapsched: removeAt out of range")
-	}
-	h.swap(i, n)
-	h.es[n].t.QIndex = -1
-	h.es = h.es[:n]
-	if i < n {
-		h.down(i)
-		h.up(i)
-	}
-}
-
-func (h *heap) rebuild(id int) {
-	for i := range h.es {
-		h.es[i].t.QIndex = i
-		h.es[i].t.QStamp = uint64(id)
-	}
-	for i := len(h.es)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
 }

@@ -151,24 +151,23 @@ func TestRTBeatsRegular(t *testing.T) {
 	}
 }
 
-// checkHeapInvariants verifies heap ordering and back-pointer consistency.
+// checkHeapInvariants verifies heap ordering and back-pointer consistency:
+// the heaps' own Check (order, QStamp positions) plus each entry's heap id
+// and membership mark.
 func checkHeapInvariants(t *testing.T, s *Sched) {
 	t.Helper()
 	total := 0
 	for id := range s.heaps {
 		h := &s.heaps[id]
-		for i := range h.es {
-			e := h.es[i]
-			if e.t.QIndex != i || e.t.QStamp != uint64(id) || !e.t.QZero {
-				t.Fatalf("heap %d slot %d: stale back-pointers on %v", id, i, e.t)
-			}
-			for _, child := range []int{2*i + 1, 2*i + 2} {
-				if child < len(h.es) && h.less(child, i) {
-					t.Fatalf("heap %d: child %d outranks parent %d", id, child, i)
-				}
+		if err := h.Check(); err != nil {
+			t.Fatalf("heap %d: %v", id, err)
+		}
+		for i := 0; i < h.Len(); i++ {
+			if tk := h.At(i).T; tk.QIndex != id || !tk.QZero {
+				t.Fatalf("heap %d slot %d: stale back-pointers on %v", id, i, tk)
 			}
 		}
-		total += len(h.es)
+		total += h.Len()
 	}
 	if total != s.total {
 		t.Fatalf("total %d, heaps hold %d", s.total, total)

@@ -203,9 +203,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 				}
 			}
 			if best == nil {
-				env.Epoch.Bump()
-				res.Recalcs++
-				res.Cycles += uint64(env.NTasks()) * env.Cost.RecalcPerTask
+				sched.Recalc(env, &res)
 				continue
 			}
 		}
@@ -230,7 +228,7 @@ func (s *Sched) scanQueue(q, cpu int, prev *task.Task, yielded bool, res *sched.
 	s.queues[q].ForEach(func(n *klist.Node) bool {
 		t := task.FromNode(n)
 		res.Examined++
-		if (t.HasCPU && t.Processor != cpu) || !t.AllowedOn(cpu) {
+		if !sched.CanSchedule(t, cpu) {
 			res.Cycles += env.Cost.Touch(env.NCPU)
 			return true
 		}

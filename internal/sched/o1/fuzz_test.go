@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"elsc/internal/klist"
 	"elsc/internal/sched"
 	"elsc/internal/task"
 )
@@ -128,8 +127,9 @@ func (r *fuzzRig) step(op, arg byte) {
 }
 
 // checkInvariants walks every list of every array on every queue and
-// cross-checks bitmap bits, per-array counts, task stamps, Runnable, and
-// global no-loss/no-duplication against the harness's running set.
+// cross-checks bitmap bits, per-array counts and list links (the
+// arrays' own Check), task stamps, Runnable, and global
+// no-loss/no-duplication against the harness's running set.
 func (r *fuzzRig) checkInvariants() error {
 	queued := make(map[*task.Task]int)
 	total := 0
@@ -137,37 +137,19 @@ func (r *fuzzRig) checkInvariants() error {
 		rq := &r.s.rqs[q]
 		for ai := 0; ai < 2; ai++ {
 			arr := &rq.arrays[ai]
-			arrTotal := 0
-			for lvl := 0; lvl < numLevels; lvl++ {
-				n := 0
-				var walkErr error
-				arr.lists[lvl].ForEach(func(node *klist.Node) bool {
-					tk := task.FromNode(node)
-					queued[tk]++
-					sa, sl := unstamp(tk.QStamp)
-					if tk.QIndex != q || sa != ai || sl != lvl {
-						walkErr = fmt.Errorf("task %v stamped q%d/a%d/l%d but found on q%d/a%d/l%d",
-							tk, tk.QIndex, sa, sl, q, ai, lvl)
-					}
-					n++
-					return n <= fuzzTasks // bound the walk: a longer list is a cycle
-				})
-				if walkErr != nil {
-					return walkErr
+			err := arr.Check(func(tk *task.Task, lvl int) error {
+				queued[tk]++
+				sa, sl := unstamp(tk.QStamp)
+				if tk.QIndex != q || sa != ai || sl != lvl {
+					return fmt.Errorf("task %v stamped q%d/a%d/l%d but found on q%d/a%d/l%d",
+						tk, tk.QIndex, sa, sl, q, ai, lvl)
 				}
-				if n > fuzzTasks {
-					return fmt.Errorf("q%d array %d level %d list has a cycle", q, ai, lvl)
-				}
-				bit := arr.bitmap[lvl/64]>>(uint(lvl)%64)&1 == 1
-				if (n > 0) != bit {
-					return fmt.Errorf("q%d array %d level %d: %d tasks but bit=%v", q, ai, lvl, n, bit)
-				}
-				arrTotal += n
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("q%d array %d: %w", q, ai, err)
 			}
-			if arrTotal != arr.count {
-				return fmt.Errorf("q%d array %d count=%d but lists hold %d", q, ai, arr.count, arrTotal)
-			}
-			total += arrTotal
+			total += arr.Len()
 		}
 	}
 	if got := r.s.Runnable(); got != total {

@@ -4,7 +4,9 @@
 // private run queue (the kernel detects the PerCPU marker and splits the
 // global run-queue lock), and each queue holds two priority arrays —
 // active and expired — with one list per priority level and a find-first-
-// set bitmap over the levels.
+// set bitmap over the levels. The arrays are the shared sched.PrioArray,
+// whose Pick walk is this policy's whole pick path; this package supplies
+// the level mapping, the array swap and the cycle charging.
 //
 // schedule() therefore never scans tasks: it reads the bitmap, takes the
 // head of the highest populated list, and runs it. No goodness() is
@@ -48,7 +50,7 @@
 // this policy maps the ratio onto a dynamic-priority bonus of ±5 levels
 // in the bitmap arrays, so a task that sleeps most of the time files five
 // levels above its static priority and a pure hog five below. Tasks whose
-// bonus clears InteractiveDelta are interactive: on quantum expiry they
+// bonus clears interactiveDelta are interactive: on quantum expiry they
 // are recharged and requeued at the tail of the active array instead of
 // parking in expired — the fix for latency probes waiting out a full hog
 // quantum behind an array swap — and a waking interactive task with a
@@ -70,24 +72,23 @@
 package o1
 
 import (
-	"math/bits"
-
-	"elsc/internal/klist"
 	"elsc/internal/sched"
 	"elsc/internal/task"
 )
 
 const (
 	// rtLevels reserves one level per rt_priority value (0..99).
-	rtLevels = task.MaxRTPriority + 1
-	// numLevels adds one level per SCHED_OTHER static priority (1..40).
-	numLevels = rtLevels + task.MaxPriority
-	// nWords is the bitmap size: one bit per level.
-	nWords = (numLevels + 63) / 64
+	rtLevels = sched.RTLevels
+	// numLevels adds one level per SCHED_OTHER static priority (1..40),
+	// the size of a sched.AllLevelLists array.
+	numLevels = sched.MaxPrioLevels
 
 	// maxBonus bounds the dynamic-priority bonus: sleep_avg maps onto
 	// [-maxBonus, +maxBonus] effective priority levels (2.5's MAX_BONUS).
 	maxBonus = 5
+	// interactiveDelta is the bonus a task needs to count as interactive
+	// and earn active-array re-insertion (2.6's INTERACTIVE_DELTA).
+	interactiveDelta = 2
 )
 
 // BonusSpan is the number of distinct bonus values (-maxBonus..+maxBonus);
@@ -113,9 +114,6 @@ type Config struct {
 	// experiments: with it set, a quantum-expired probe parks behind a
 	// full hog quantum in the expired array.
 	InteractivityOff bool
-	// InteractiveDelta is the bonus a task needs to count as interactive
-	// and earn active-array re-insertion (default 2, range 1..maxBonus).
-	InteractiveDelta int
 	// GranularityTicks is the TIMESLICE_GRANULARITY chunk in quantum
 	// ticks: every multiple, a running interactive task with a same-level
 	// queued peer on its CPU is rotated to the tail of its level
@@ -130,9 +128,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.StarvationLimit == 0 {
 		c.StarvationLimit = 128
-	}
-	if c.InteractiveDelta == 0 {
-		c.InteractiveDelta = 2
 	}
 	if c.GranularityTicks == 0 {
 		c.GranularityTicks = 2
@@ -149,51 +144,8 @@ func levelOf(t *task.Task) int {
 	return rtLevels + task.MaxPriority - t.Priority
 }
 
-// prioArray is one priority array: a bitmap over levels plus one FIFO
-// list per level, mirroring struct prio_array.
-type prioArray struct {
-	bitmap [nWords]uint64
-	lists  [numLevels]klist.Head
-	count  int
-}
-
-func (a *prioArray) init() {
-	for i := range a.lists {
-		a.lists[i].Init()
-	}
-}
-
-// firstSet returns the highest-priority populated level, or -1.
-func (a *prioArray) firstSet() int {
-	for w := 0; w < nWords; w++ {
-		if a.bitmap[w] != 0 {
-			return w*64 + bits.TrailingZeros64(a.bitmap[w])
-		}
-	}
-	return -1
-}
-
-// nextSet returns the first populated level >= from, or -1.
-func (a *prioArray) nextSet(from int) int {
-	if from >= numLevels {
-		return -1
-	}
-	w := from / 64
-	word := a.bitmap[w] &^ (1<<uint(from%64) - 1)
-	for {
-		if word != 0 {
-			return w*64 + bits.TrailingZeros64(word)
-		}
-		w++
-		if w >= nWords {
-			return -1
-		}
-		word = a.bitmap[w]
-	}
-}
-
-func (a *prioArray) setBit(lvl int)   { a.bitmap[lvl/64] |= 1 << uint(lvl%64) }
-func (a *prioArray) clearBit(lvl int) { a.bitmap[lvl/64] &^= 1 << uint(lvl%64) }
+// prioArray is one struct prio_array over all numLevels levels.
+type prioArray = sched.PrioArray[sched.AllLevelLists]
 
 // runqueue is one CPU's pair of arrays; activeIdx selects the active one
 // so the array swap is a single index flip, never a task walk. schedSeq
@@ -215,7 +167,7 @@ type runqueue struct {
 
 func (rq *runqueue) active() *prioArray  { return &rq.arrays[rq.activeIdx] }
 func (rq *runqueue) expired() *prioArray { return &rq.arrays[1-rq.activeIdx] }
-func (rq *runqueue) len() int            { return rq.arrays[0].count + rq.arrays[1].count }
+func (rq *runqueue) len() int            { return rq.arrays[0].Len() + rq.arrays[1].Len() }
 
 // Sched is the O(1) scheduler. Create with New.
 type Sched struct {
@@ -255,8 +207,8 @@ func NewWithConfig(env *sched.Env, cfg Config) *Sched {
 	}
 	s.Balancer = sched.NewBalancer(env, topo, (*queues)(s))
 	for i := range s.rqs {
-		s.rqs[i].arrays[0].init()
-		s.rqs[i].arrays[1].init()
+		s.rqs[i].arrays[0].Init()
+		s.rqs[i].arrays[1].Init()
 	}
 	return s
 }
@@ -282,7 +234,7 @@ func (s *Sched) interactive(t *task.Task) bool {
 	if s.cfg.InteractivityOff || t.RealTime() {
 		return false
 	}
-	return s.bonusOf(t) >= s.cfg.InteractiveDelta
+	return s.bonusOf(t) >= interactiveDelta
 }
 
 // levelFor is the effective priority level a task files at: its static
@@ -330,10 +282,10 @@ func (q *queues) Len(cpu int) int { return q.rqs[cpu].len() }
 // next (2.5's load_balance order).
 func (q *queues) Movable(victim, cpu int, res *sched.Result) *task.Task {
 	s := (*Sched)(q)
-	if t := s.pickArray(s.rqs[victim].expired(), cpu, res); t != nil {
+	if t := s.rqs[victim].expired().Pick(s.env, cpu, res); t != nil {
 		return t
 	}
-	return s.pickArray(s.rqs[victim].active(), cpu, res)
+	return s.rqs[victim].active().Pick(s.env, cpu, res)
 }
 
 // Migrate leaves a stolen task on the victim, where the thief's Schedule
@@ -367,15 +319,9 @@ func (s *Sched) enqueue(t *task.Task, cpu, arrayIdx int, front bool) {
 	if !t.RealTime() && !s.cfg.InteractivityOff {
 		s.bonusLevels[s.bonusOf(t)+maxBonus]++
 	}
-	if front {
-		arr.lists[lvl].PushFront(&t.RunList)
-	} else {
-		arr.lists[lvl].PushBack(&t.RunList)
-	}
-	arr.setBit(lvl)
-	arr.count++
+	arr.Push(t, lvl, front)
 	s.total++
-	if arrayIdx != rq.activeIdx && arr.count == 1 {
+	if arrayIdx != rq.activeIdx && arr.Len() == 1 {
 		// The expired array just became non-empty: start (or restart)
 		// the starvation clock.
 		rq.expiredSince = rq.schedSeq
@@ -454,7 +400,7 @@ func (s *Sched) addTo(t *task.Task, cpu int, front bool) {
 // tasks stop jumping the queue so the forced swap can restore fairness.
 func (s *Sched) reinsertBlocked(rq *runqueue) bool {
 	return s.cfg.StarvationLimit >= 0 &&
-		rq.expired().count > 0 &&
+		rq.expired().Len() > 0 &&
 		rq.schedSeq-rq.expiredSince >= uint64(s.cfg.StarvationLimit)
 }
 
@@ -464,13 +410,8 @@ func (s *Sched) DelFromRunqueue(t *task.Task) {
 		return
 	}
 	arrayIdx, lvl := unstamp(t.QStamp)
-	arr := &s.rqs[t.QIndex].arrays[arrayIdx]
-	arr.lists[lvl].Remove(&t.RunList)
-	arr.count--
+	s.rqs[t.QIndex].arrays[arrayIdx].Remove(t, lvl)
 	s.total--
-	if arr.lists[lvl].Empty() {
-		arr.clearBit(lvl)
-	}
 }
 
 // MoveFirstRunqueue moves t to the head of its level list, so it wins
@@ -480,7 +421,7 @@ func (s *Sched) MoveFirstRunqueue(t *task.Task) {
 		return
 	}
 	arrayIdx, lvl := unstamp(t.QStamp)
-	s.rqs[t.QIndex].arrays[arrayIdx].lists[lvl].MoveFront(&t.RunList)
+	s.rqs[t.QIndex].arrays[arrayIdx].MoveFront(t, lvl)
 }
 
 // MoveLastRunqueue moves t to the tail of its level list, so it loses
@@ -490,7 +431,7 @@ func (s *Sched) MoveLastRunqueue(t *task.Task) {
 		return
 	}
 	arrayIdx, lvl := unstamp(t.QStamp)
-	s.rqs[t.QIndex].arrays[arrayIdx].lists[lvl].MoveBack(&t.RunList)
+	s.rqs[t.QIndex].arrays[arrayIdx].MoveBack(t, lvl)
 }
 
 // Runnable returns the number of queued tasks; running tasks are
@@ -504,8 +445,8 @@ func (s *Sched) OnRunqueue(t *task.Task) bool { return t.OnRunqueue() }
 func (s *Sched) QueueLen(q int) int { return s.rqs[q].len() }
 
 // ActiveLen and ExpiredLen expose per-array occupancy, for tests.
-func (s *Sched) ActiveLen(q int) int  { return s.rqs[q].active().count }
-func (s *Sched) ExpiredLen(q int) int { return s.rqs[q].expired().count }
+func (s *Sched) ActiveLen(q int) int  { return s.rqs[q].active().Len() }
+func (s *Sched) ExpiredLen(q int) int { return s.rqs[q].expired().Len() }
 
 // ExportRunnable implements sched.Scheduler. Drain order is CPU 0..n-1;
 // per CPU the active array then the expired one, each in ascending level
@@ -523,18 +464,10 @@ func (s *Sched) ExportRunnable() []*task.Task {
 // so its tasks can be re-filed on surviving queues.
 func (s *Sched) DrainCPU(cpu int, out []*task.Task) []*task.Task {
 	rq := &s.rqs[cpu]
-	for _, arr := range [2]*prioArray{rq.active(), rq.expired()} {
-		for {
-			lvl := arr.firstSet()
-			if lvl < 0 {
-				break
-			}
-			t := task.FromNode(arr.lists[lvl].First())
-			s.DelFromRunqueue(t)
-			sched.ResetQueueState(t)
-			out = append(out, t)
-		}
-	}
+	n := len(out)
+	out = rq.active().Drain(out)
+	out = rq.expired().Drain(out)
+	s.total -= len(out) - n
 	rq.rotate = nil
 	return out
 }
@@ -635,9 +568,8 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	}
 	rq := &s.rqs[cpu]
 	lvl := s.levelFor(t)
-	if best := rq.active().firstSet(); best >= 0 && best < lvl {
-		head := task.FromNode(rq.active().lists[best].First())
-		if (!head.HasCPU || head.Processor == cpu) && head.AllowedOn(cpu) {
+	if best := rq.active().First(); best >= 0 && best < lvl {
+		if sched.CanSchedule(rq.active().Head(best), cpu) {
 			return true, false // a better level waits: re-pick, t keeps its spot
 		}
 	}
@@ -648,7 +580,7 @@ func (s *Sched) TickPreempt(cpu int, t *task.Task) (preempt, rotation bool) {
 	if c <= 0 || c%s.cfg.GranularityTicks != 0 {
 		return false, false
 	}
-	if rq.active().lists[lvl].Empty() {
+	if rq.active().Head(lvl) == nil {
 		return false, false
 	}
 	rq.rotate = t
@@ -669,26 +601,16 @@ func (s *Sched) pickLocal(cpu int, res *sched.Result) *task.Task {
 		// after the next natural swap.
 		s.swapArrays(rq, res)
 	}
-	if t := s.pickArray(rq.active(), cpu, res); t != nil {
+	if t := rq.active().Pick(s.env, cpu, res); t != nil {
 		return t
 	}
-	if rq.expired().count > 0 {
+	if rq.expired().Len() > 0 {
 		// O(1) array swap: the expired tasks were recharged when they
 		// were filed, so no walk happens here.
 		s.swapArrays(rq, res)
-		return s.pickArray(rq.active(), cpu, res)
+		return rq.active().Pick(s.env, cpu, res)
 	}
 	return nil
-}
-
-// rtWord1Mask covers the real-time levels that spill into the second
-// bitmap word (levels 64..rtLevels-1).
-const rtWord1Mask = 1<<(rtLevels-64) - 1
-
-// holdsRealTime reports whether any real-time level of the array is
-// populated — two word tests, O(1).
-func (a *prioArray) holdsRealTime() bool {
-	return a.bitmap[0] != 0 || a.bitmap[1]&rtWord1Mask != 0
 }
 
 // expiredStarving reports whether the starvation guard should fire: the
@@ -698,9 +620,17 @@ func (a *prioArray) holdsRealTime() bool {
 // starving OTHER is policy, not a bug.
 func (s *Sched) expiredStarving(rq *runqueue) bool {
 	return s.cfg.StarvationLimit >= 0 &&
-		rq.expired().count > 0 &&
+		rq.expired().Len() > 0 &&
 		rq.schedSeq-rq.expiredSince >= uint64(s.cfg.StarvationLimit) &&
-		!rq.active().holdsRealTime()
+		!holdsRealTime(rq.active())
+}
+
+// holdsRealTime reports whether any real-time level of the array is
+// populated: its best level is one of the top rtLevels, an O(1) bitmap
+// read.
+func holdsRealTime(a *prioArray) bool {
+	lvl := a.First()
+	return lvl >= 0 && lvl < rtLevels
 }
 
 // swapArrays flips active and expired in O(1) and restarts the
@@ -709,29 +639,4 @@ func (s *Sched) swapArrays(rq *runqueue, res *sched.Result) {
 	rq.activeIdx = 1 - rq.activeIdx
 	rq.expiredSince = rq.schedSeq
 	res.Cycles += s.env.Cost.BitmapOp
-}
-
-// pickArray walks the bitmap from the highest-priority populated level
-// down, returning the first head task runnable on cpu. Tasks pinned
-// elsewhere (the rare leftovers of an affinity change) are skipped.
-func (s *Sched) pickArray(arr *prioArray, cpu int, res *sched.Result) *task.Task {
-	env := s.env
-	for lvl := arr.firstSet(); lvl >= 0; lvl = arr.nextSet(lvl + 1) {
-		res.Cycles += env.Cost.BitmapOp
-		var found *task.Task
-		arr.lists[lvl].ForEach(func(n *klist.Node) bool {
-			t := task.FromNode(n)
-			res.Examined++
-			res.Cycles += env.Cost.Touch(env.NCPU)
-			if (t.HasCPU && t.Processor != cpu) || !t.AllowedOn(cpu) {
-				return true
-			}
-			found = t
-			return false
-		})
-		if found != nil {
-			return found
-		}
-	}
-	return nil
 }

@@ -58,25 +58,30 @@ func TestLevelOrdering(t *testing.T) {
 }
 
 func TestBitmapFindFirstSet(t *testing.T) {
+	env := newEnv(1, 2)
 	var a prioArray
-	a.init()
-	if a.firstSet() != -1 {
+	a.Init()
+	if a.First() != -1 {
 		t.Fatal("empty array must report no level")
 	}
-	a.setBit(7)
-	a.setBit(130)
-	if a.firstSet() != 7 {
-		t.Fatalf("firstSet = %d, want 7", a.firstSet())
+	at7, at130 := mkTask(env, 1, 10, 10), mkTask(env, 2, 10, 10)
+	a.Push(at7, 7, false)
+	a.Push(at130, 130, false)
+	if a.First() != 7 {
+		t.Fatalf("First = %d, want 7", a.First())
 	}
-	if got := a.nextSet(8); got != 130 {
-		t.Fatalf("nextSet(8) = %d, want 130", got)
+	if got := a.Next(8); got != 130 {
+		t.Fatalf("Next(8) = %d, want 130", got)
 	}
-	if got := a.nextSet(131); got != -1 {
-		t.Fatalf("nextSet(131) = %d, want -1", got)
+	if got := a.Next(131); got != -1 {
+		t.Fatalf("Next(131) = %d, want -1", got)
 	}
-	a.clearBit(7)
-	if a.firstSet() != 130 {
-		t.Fatalf("firstSet after clear = %d, want 130", a.firstSet())
+	a.Remove(at7, 7)
+	if a.First() != 130 {
+		t.Fatalf("First after remove = %d, want 130", a.First())
+	}
+	if err := a.Check(nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

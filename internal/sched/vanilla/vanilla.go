@@ -203,9 +203,7 @@ func (s *Sched) Schedule(cpu int, prev *task.Task) sched.Result {
 			// Every candidate's quantum is spent (or the lone
 			// candidate yielded): recalculate the counter of every
 			// task in the system and search again (paper §3.3.2).
-			env.Epoch.Bump()
-			res.Recalcs++
-			res.Cycles += uint64(env.NTasks()) * env.Cost.RecalcPerTask
+			sched.Recalc(env, &res)
 			if res.Recalcs > 8 {
 				panic("vanilla: recalculation livelock")
 			}
