@@ -22,7 +22,7 @@ func matrixSweepCells(b *testing.B, parallel int) {
 	sc.Parallel = parallel
 	spec := []experiments.MachineSpec{experiments.SpecByLabel("8P")}
 	for i := 0; i < b.N; i++ {
-		runs := experiments.RunWorkloadMatrix(experiments.Policies, spec, workload.Names(), sc)
+		runs := experiments.RunCells(experiments.MatrixCells(experiments.Policies, spec, workload.Names(), sc), sc)
 		if len(runs) != len(experiments.Policies)*len(workload.Names()) {
 			b.Fatalf("matrix returned %d cells", len(runs))
 		}

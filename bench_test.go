@@ -39,26 +39,36 @@ func BenchmarkTable2_KernelCompile(b *testing.B) {
 	for _, label := range []string{"UP", "2P"} {
 		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				var secs float64
-				for i := 0; i < b.N; i++ {
-					r := experiments.RunKBuild(experiments.SpecByLabel(label), policy, cfg, benchScale())
-					secs = r.Result.Seconds
-				}
-				b.ReportMetric(secs, "virt-sec")
+				r := benchCell(b, experiments.Cell{Spec: experiments.SpecByLabel(label), Policy: policy, Load: workload.KBuild,
+					Build: func(m *kernel.Machine) workload.Instance { return workload.NewKBuild(m, cfg) }}, benchScale())
+				b.ReportMetric(r.Result.Seconds, "virt-sec")
 			})
 		}
 	}
 }
 
+// benchCell runs one cell per iteration through the experiments runner
+// and returns the last run.
+func benchCell(b *testing.B, c experiments.Cell, sc experiments.Scale) experiments.WorkloadRun {
+	b.Helper()
+	var last experiments.WorkloadRun
+	for i := 0; i < b.N; i++ {
+		last = experiments.RunCells([]experiments.Cell{c}, sc)[0]
+	}
+	return last
+}
+
+// volanoCells lists one VolanoMark cell per room count, the paper's
+// figure sweep at bench scale.
+func volanoCells(policy, label string, rooms ...int) []experiments.Cell {
+	return experiments.VolanoCells([]string{policy}, []experiments.MachineSpec{experiments.SpecByLabel(label)}, rooms, benchScale())
+}
+
 // benchVolano runs one VolanoMark cell per iteration and reports the
 // requested metrics.
-func benchVolano(b *testing.B, policy, label string, rooms int, report func(b *testing.B, r experiments.VolanoRun)) {
+func benchVolano(b *testing.B, policy, label string, rooms int, report func(b *testing.B, r experiments.WorkloadRun)) {
 	b.Helper()
-	var last experiments.VolanoRun
-	for i := 0; i < b.N; i++ {
-		last = experiments.RunVolano(experiments.SpecByLabel(label), policy, rooms, benchScale())
-	}
-	report(b, last)
+	report(b, benchCell(b, volanoCells(policy, label, rooms)[0], benchScale()))
 }
 
 // BenchmarkFig2_RecalcEntries regenerates Figure 2: recalculation-loop
@@ -67,7 +77,7 @@ func BenchmarkFig2_RecalcEntries(b *testing.B) {
 	for _, label := range []string{"UP", "4P"} {
 		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 5, func(b *testing.B, r experiments.VolanoRun) {
+				benchVolano(b, policy, label, 5, func(b *testing.B, r experiments.WorkloadRun) {
 					b.ReportMetric(float64(r.Stats.Recalcs), "recalcs")
 				})
 			})
@@ -82,7 +92,7 @@ func BenchmarkFig3_Throughput(b *testing.B) {
 		for _, rooms := range []int{5, 20} {
 			for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 				b.Run(fmt.Sprintf("%s/%s/rooms%d", policy, label, rooms), func(b *testing.B) {
-					benchVolano(b, policy, label, rooms, func(b *testing.B, r experiments.VolanoRun) {
+					benchVolano(b, policy, label, rooms, func(b *testing.B, r experiments.WorkloadRun) {
 						b.ReportMetric(r.Result.Throughput, "msgs/sec")
 					})
 				})
@@ -99,9 +109,8 @@ func BenchmarkFig4_ScalingFactor(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
 				var factor float64
 				for i := 0; i < b.N; i++ {
-					lo := experiments.RunVolano(experiments.SpecByLabel(label), policy, 5, benchScale())
-					hi := experiments.RunVolano(experiments.SpecByLabel(label), policy, 20, benchScale())
-					factor = hi.Result.Throughput / lo.Result.Throughput
+					runs := experiments.RunCells(volanoCells(policy, label, 5, 20), benchScale())
+					factor = runs[1].Result.Throughput / runs[0].Result.Throughput
 				}
 				b.ReportMetric(factor, "scaling")
 			})
@@ -115,7 +124,7 @@ func BenchmarkFig5_ScheduleCost(b *testing.B) {
 	for _, label := range []string{"UP", "4P"} {
 		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.VolanoRun) {
+				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.WorkloadRun) {
 					b.ReportMetric(r.Stats.CyclesPerSchedule(), "cyc/sched")
 					b.ReportMetric(r.Stats.ExaminedPerSchedule(), "examined")
 				})
@@ -130,7 +139,7 @@ func BenchmarkFig6_CallsAndMigrations(b *testing.B) {
 	for _, label := range []string{"UP", "2P", "4P"} {
 		for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.VolanoRun) {
+				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.WorkloadRun) {
 					b.ReportMetric(float64(r.Stats.SchedCalls), "sched-calls")
 					b.ReportMetric(float64(r.Stats.Migrations), "migrations")
 				})
@@ -144,7 +153,7 @@ func BenchmarkFig6_CallsAndMigrations(b *testing.B) {
 func BenchmarkProfile_SchedulerShare(b *testing.B) {
 	for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 		b.Run(policy, func(b *testing.B) {
-			benchVolano(b, policy, "UP", 20, func(b *testing.B, r experiments.VolanoRun) {
+			benchVolano(b, policy, "UP", 20, func(b *testing.B, r experiments.WorkloadRun) {
 				b.ReportMetric(100*r.Stats.SchedulerShareOfKernel(), "sched-%kernel")
 			})
 		})
@@ -156,7 +165,7 @@ func BenchmarkProfile_SchedulerShare(b *testing.B) {
 func BenchmarkAlt_FutureWorkSchedulers(b *testing.B) {
 	for _, policy := range experiments.Policies {
 		b.Run(policy, func(b *testing.B) {
-			benchVolano(b, policy, "4P", 10, func(b *testing.B, r experiments.VolanoRun) {
+			benchVolano(b, policy, "4P", 10, func(b *testing.B, r experiments.WorkloadRun) {
 				b.ReportMetric(r.Result.Throughput, "msgs/sec")
 				b.ReportMetric(r.Stats.CyclesPerSchedule(), "cyc/sched")
 			})
@@ -171,7 +180,7 @@ func BenchmarkAlt_FutureWorkSchedulers(b *testing.B) {
 func BenchmarkLockWait_8CPU(b *testing.B) {
 	for _, policy := range experiments.Policies {
 		b.Run(policy, func(b *testing.B) {
-			benchVolano(b, policy, "8P", 10, func(b *testing.B, r experiments.VolanoRun) {
+			benchVolano(b, policy, "8P", 10, func(b *testing.B, r experiments.WorkloadRun) {
 				spin := 0.0
 				if r.Stats.SchedCalls > 0 {
 					spin = float64(r.Stats.SpinCycles) / float64(r.Stats.SchedCalls)
@@ -190,7 +199,7 @@ func BenchmarkLockWait_Scale(b *testing.B) {
 	for _, label := range []string{"16P", "32P"} {
 		for _, policy := range experiments.Policies {
 			b.Run(fmt.Sprintf("%s/%s", policy, label), func(b *testing.B) {
-				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.VolanoRun) {
+				benchVolano(b, policy, label, 10, func(b *testing.B, r experiments.WorkloadRun) {
 					spin := 0.0
 					if r.Stats.SchedCalls > 0 {
 						spin = float64(r.Stats.SpinCycles) / float64(r.Stats.SchedCalls)
@@ -215,10 +224,7 @@ func BenchmarkNUMA_DomainAwareness(b *testing.B) {
 			name = "topology-blind"
 		}
 		b.Run(name, func(b *testing.B) {
-			var r experiments.VolanoRun
-			for i := 0; i < b.N; i++ {
-				r = experiments.RunO1Topology(spec, blind, 3, benchScale())
-			}
+			r := benchCell(b, experiments.O1TopologyCell(spec, blind, 3, benchScale()), benchScale())
 			b.ReportMetric(r.Result.Throughput, "msgs/sec")
 			b.ReportMetric(float64(r.Stats.CrossDomainMigrations), "cross-dom")
 			b.ReportMetric(float64(r.Stats.RemoteCycles)/1e6, "remote-Mcyc")
@@ -233,13 +239,9 @@ func BenchmarkNUMA_Policies(b *testing.B) {
 	spec := experiments.SpecByLabel("32P-NUMA")
 	for _, policy := range experiments.Policies {
 		b.Run(policy, func(b *testing.B) {
-			var r experiments.VolanoRun
-			for i := 0; i < b.N; i++ {
-				r = experiments.RunVolanoConfig(spec, policy, volano.Config{
-					Rooms: 10, MessagesPerUser: benchScale().Messages,
-					Costs: volano.ScalableStackCosts(),
-				}, benchScale())
-			}
+			cfg := volano.Config{Rooms: 10, MessagesPerUser: benchScale().Messages, Costs: volano.ScalableStackCosts()}
+			r := benchCell(b, experiments.Cell{Spec: spec, Policy: policy, Load: workload.Volano,
+				Build: func(m *kernel.Machine) workload.Instance { return workload.NewVolano(m, cfg) }}, benchScale())
 			b.ReportMetric(r.Result.Throughput, "msgs/sec")
 			b.ReportMetric(float64(r.Stats.CrossDomainMigrations), "cross-dom")
 		})
@@ -252,13 +254,13 @@ func BenchmarkFutureWork_Webserver(b *testing.B) {
 	cfg := webserver.Config{Workers: 32, Requests: 4000}
 	for _, policy := range []string{experiments.Reg, experiments.ELSC} {
 		b.Run(policy, func(b *testing.B) {
-			var r experiments.WebRun
-			for i := 0; i < b.N; i++ {
-				r = experiments.RunWeb(experiments.SpecByLabel("2P"), policy, cfg, benchScale())
-			}
+			r := benchCell(b, experiments.Cell{Spec: experiments.SpecByLabel("2P"), Policy: policy, Load: workload.WebServer,
+				Build: func(m *kernel.Machine) workload.Instance { return workload.NewWebServer(m, cfg) }}, benchScale())
+			meanLat, _ := r.Result.Extra("mean_lat_ms")
+			maxLat, _ := r.Result.Extra("max_lat_ms")
 			b.ReportMetric(r.Result.Throughput, "req/sec")
-			b.ReportMetric(r.Result.MeanLatMS, "mean-lat-ms")
-			b.ReportMetric(r.Result.MaxLatMS, "max-lat-ms")
+			b.ReportMetric(meanLat, "mean-lat-ms")
+			b.ReportMetric(maxLat, "max-lat-ms")
 		})
 	}
 }
@@ -268,19 +270,11 @@ func BenchmarkFutureWork_Webserver(b *testing.B) {
 func BenchmarkAblation_SearchLimit(b *testing.B) {
 	for _, limit := range []int{1, 7, 40} {
 		b.Run(fmt.Sprintf("limit%d", limit), func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				m := kernel.NewMachine(kernel.Config{
-					CPUs: 4, SMP: true, Seed: 42,
-					NewScheduler: func(env *sched.Env) sched.Scheduler {
-						return elsc.NewWithConfig(env, elsc.Config{SearchLimit: limit})
-					},
-					MaxCycles: 600 * kernel.DefaultHz,
-				})
-				res := volano.Build(m, volano.Config{Rooms: 10, MessagesPerUser: 10}).Run()
-				thr = res.Throughput
+			c := volanoCells(experiments.ELSC, "4P", 10)[0]
+			c.Factory = func(env *sched.Env) sched.Scheduler {
+				return elsc.NewWithConfig(env, elsc.Config{SearchLimit: limit})
 			}
-			b.ReportMetric(thr, "msgs/sec")
+			b.ReportMetric(benchCell(b, c, benchScale()).Result.Throughput, "msgs/sec")
 		})
 	}
 }
@@ -294,19 +288,11 @@ func BenchmarkAblation_UPShortcut(b *testing.B) {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				m := kernel.NewMachine(kernel.Config{
-					CPUs: 1, SMP: false, Seed: 42,
-					NewScheduler: func(env *sched.Env) sched.Scheduler {
-						return elsc.NewWithConfig(env, elsc.Config{DisableUPShortcut: disable})
-					},
-					MaxCycles: 600 * kernel.DefaultHz,
-				})
-				res := volano.Build(m, volano.Config{Rooms: 5, MessagesPerUser: 10}).Run()
-				thr = res.Throughput
+			c := volanoCells(experiments.ELSC, "UP", 5)[0]
+			c.Factory = func(env *sched.Env) sched.Scheduler {
+				return elsc.NewWithConfig(env, elsc.Config{DisableUPShortcut: disable})
 			}
-			b.ReportMetric(thr, "msgs/sec")
+			b.ReportMetric(benchCell(b, c, benchScale()).Result.Throughput, "msgs/sec")
 		})
 	}
 }
@@ -399,11 +385,8 @@ func benchWorkloadScale() experiments.Scale {
 func BenchmarkWorkload_DB(b *testing.B) {
 	for _, policy := range experiments.Policies {
 		b.Run(policy, func(b *testing.B) {
-			var last experiments.WorkloadRun
-			for i := 0; i < b.N; i++ {
-				last = experiments.RunWorkloadCell(
-					experiments.SpecByLabel("8P"), policy, workload.DB, benchWorkloadScale())
-			}
+			last := benchCell(b, experiments.RegistryCell(
+				experiments.SpecByLabel("8P"), policy, workload.DB, benchWorkloadScale()), benchWorkloadScale())
 			b.ReportMetric(last.Result.Throughput, "txns/s")
 			if p99, ok := last.Result.Extra("p99_txn_us"); ok {
 				b.ReportMetric(p99, "p99-us")
@@ -418,11 +401,8 @@ func BenchmarkWorkload_DB(b *testing.B) {
 func BenchmarkWorkload_WakeStorm(b *testing.B) {
 	for _, policy := range experiments.Policies {
 		b.Run(policy, func(b *testing.B) {
-			var last experiments.WorkloadRun
-			for i := 0; i < b.N; i++ {
-				last = experiments.RunWorkloadCell(
-					experiments.SpecByLabel("32P-NUMA"), policy, workload.WakeStorm, benchWorkloadScale())
-			}
+			last := benchCell(b, experiments.RegistryCell(
+				experiments.SpecByLabel("32P-NUMA"), policy, workload.WakeStorm, benchWorkloadScale()), benchWorkloadScale())
 			if p99, ok := last.Result.Extra("p99_us"); ok {
 				b.ReportMetric(p99, "p99-us")
 			}

@@ -22,8 +22,7 @@ func main() {
 
 	sc := experiments.DefaultScale()
 	sc.Seed = *seed
-	cfg := kbuild.Config{Units: *units, Jobs: *jobs}
-	tab := experiments.Table2With(sc, cfg)
+	tab := experiments.Table2(sc, kbuild.Config{Units: *units, Jobs: *jobs})
 	fmt.Print(tab.Render())
 	fmt.Println("\nPaper's measurements: Current-UP 6:41.41, ELSC-UP 6:38.68, Current-2P 3:40.38, ELSC-2P 3:40.36.")
 	fmt.Println("The claim under test is equality within noise, with a slight ELSC edge on UP.")

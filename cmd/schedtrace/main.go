@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"elsc/internal/experiments"
 	"elsc/internal/kernel"
@@ -44,48 +45,43 @@ func main() {
 		watchdog  = flag.Bool("watchdog", false, "arm the starvation/lockup watchdog; violations print inline")
 	)
 	flag.Parse()
+	if err := experiments.CheckName(*schedName, experiments.Policies); err != nil {
+		fmt.Fprintf(os.Stderr, "schedtrace: -sched: %v\n", err)
+		os.Exit(2)
+	}
 
-	var topo *sched.Topology
-	if *domains > 1 {
-		topo = sched.UniformTopology(*cpus, *domains)
-	}
 	printed := 0
-	var m *kernel.Machine
-	cfg := kernel.Config{
-		CPUs:         *cpus,
-		SMP:          *cpus > 1,
-		Topology:     topo,
-		Seed:         *seed,
-		NewScheduler: experiments.Factory(*schedName),
-		MaxCycles:    100 * kernel.DefaultHz,
-		Trace: func(ev kernel.TraceEvent) {
-			if printed >= *n {
-				return
-			}
-			printed++
-			next := "idle"
-			if ev.Next != nil {
-				next = ev.Next.String()
-			}
-			extra := ""
-			if ev.Recalcs > 0 {
-				extra = fmt.Sprintf("  RECALC x%d", ev.Recalcs)
-			}
-			if ev.Spin > 0 {
-				extra += fmt.Sprintf("  spin=%d", ev.Spin)
-			}
-			fmt.Printf("t=%-12d cpu%d  %-18s -> %-18s examined=%-3d cycles=%-6d%s\n",
-				ev.Now, ev.CPU, ev.Prev.String(), next, ev.Examined, ev.Cycles, extra)
-		},
-	}
-	if *watchdog {
-		cfg.Watchdog = &kernel.WatchdogConfig{
-			OnViolation: func(v kernel.WatchdogViolation) {
-				fmt.Printf("t=%-12d WATCHDOG %s\n", v.Now, v)
-			},
+	trace := func(ev kernel.TraceEvent) {
+		if printed >= *n {
+			return
 		}
+		printed++
+		next := "idle"
+		if ev.Next != nil {
+			next = ev.Next.String()
+		}
+		extra := ""
+		if ev.Recalcs > 0 {
+			extra = fmt.Sprintf("  RECALC x%d", ev.Recalcs)
+		}
+		if ev.Spin > 0 {
+			extra += fmt.Sprintf("  spin=%d", ev.Spin)
+		}
+		fmt.Printf("t=%-12d cpu%d  %-18s -> %-18s examined=%-3d cycles=%-6d%s\n",
+			ev.Now, ev.CPU, ev.Prev.String(), next, ev.Examined, ev.Cycles, extra)
 	}
-	m = kernel.NewMachine(cfg)
+	spec := experiments.MachineSpec{Label: fmt.Sprintf("%dP", *cpus), CPUs: *cpus, SMP: *cpus > 1, Domains: *domains}
+	sc := experiments.Scale{Seed: *seed, HorizonSeconds: 100}
+	m := experiments.NewMachine(spec, experiments.Factory(*schedName), sc, func(cfg *kernel.Config) {
+		cfg.Trace = trace
+		if *watchdog {
+			cfg.Watchdog = &kernel.WatchdogConfig{
+				OnViolation: func(v kernel.WatchdogViolation) {
+					fmt.Printf("t=%-12d WATCHDOG %s\n", v.Now, v)
+				},
+			}
+		}
+	})
 	if *hotplug >= 0 {
 		if *hotplug >= *cpus {
 			fmt.Printf("-hotplug %d: no such CPU on a %d-processor machine\n", *hotplug, *cpus)

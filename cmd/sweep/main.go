@@ -130,15 +130,15 @@ func run() int {
 	t0 := time.Now()
 
 	// The VolanoMark matrix feeds figures 2-6 and the profile table.
-	var runs []experiments.VolanoRun
+	var runs []experiments.WorkloadRun
 	needMatrix := want("fig2") || want("fig3") || want("fig4") || want("fig5") ||
 		want("fig6") || want("profile")
 	if needMatrix {
 		fmt.Fprintf(os.Stderr, "running VolanoMark matrix (%d messages/user, rooms %v)...\n",
 			sc.Messages, experiments.PaperRooms)
-		runs = experiments.RunVolanoMatrix(
+		runs = experiments.RunCells(experiments.VolanoCells(
 			[]string{experiments.Reg, experiments.ELSC},
-			experiments.PaperSpecs, experiments.PaperRooms, sc)
+			experiments.PaperSpecs, experiments.PaperRooms, sc), sc)
 	}
 
 	var tables []*stats.Table
@@ -148,8 +148,11 @@ func run() int {
 		fmt.Println(t.Render())
 	}
 
+	// Table 2 and the webserver table run the registry's shapes for the
+	// scale; cmd/kcompile and cmd/websim pass their own.
+	paperParams := experiments.WorkloadParams(experiments.SpecByLabel("2P"), sc)
 	if want("table2") {
-		section(experiments.Table2(sc))
+		section(experiments.Table2(sc, workload.KBuildConfig(paperParams)))
 	}
 	if want("fig2") {
 		section(experiments.Fig2(runs, 10))
@@ -173,7 +176,7 @@ func run() int {
 		section(experiments.AltSchedulers(experiments.SpecByLabel("4P"), 10, sc))
 	}
 	if want("web") {
-		section(experiments.Webserver(experiments.SpecByLabel("2P"), sc))
+		section(experiments.Webserver(experiments.SpecByLabel("2P"), workload.WebServerConfig(paperParams), sc))
 	}
 	if want("lock") {
 		// The lock-wait headline, scaled past the paper's hardware: the
@@ -194,7 +197,7 @@ func run() int {
 	if want("matrix") {
 		fmt.Fprintf(os.Stderr, "running workload matrix (%d policies x %d workloads x %v)...\n",
 			len(matrixPolicies), len(matrixLoads), labelsOf(matrixSpecs))
-		mruns := experiments.RunWorkloadMatrix(matrixPolicies, matrixSpecs, matrixLoads, sc)
+		mruns := experiments.RunCells(experiments.MatrixCells(matrixPolicies, matrixSpecs, matrixLoads, sc), sc)
 		workloadRuns = append(workloadRuns, mruns...)
 		for _, spec := range matrixSpecs {
 			section(experiments.MatrixTable(mruns, spec, matrixPolicies, matrixLoads))
@@ -207,8 +210,8 @@ func run() int {
 		// JSON entries.
 		sruns := filterRuns(workloadRuns, spec.Label, workload.WakeStorm, matrixPolicies)
 		if len(sruns) != len(matrixPolicies) {
-			sruns = experiments.RunWorkloadMatrix(matrixPolicies, []experiments.MachineSpec{spec},
-				[]string{workload.WakeStorm}, sc)
+			sruns = experiments.RunCells(experiments.MatrixCells(matrixPolicies, []experiments.MachineSpec{spec},
+				[]string{workload.WakeStorm}, sc), sc)
 			workloadRuns = append(workloadRuns, sruns...)
 		}
 		section(experiments.WorkloadDetail(sruns, spec, matrixPolicies, workload.WakeStorm))
@@ -341,15 +344,8 @@ func resolveList(flagVal string, def, all []string) ([]string, error) {
 		if name == "" {
 			continue
 		}
-		found := false
-		for _, known := range all {
-			if name == known {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown name %q (registered: %s)", name, strings.Join(all, " "))
+		if err := experiments.CheckName(name, all); err != nil {
+			return nil, err
 		}
 		out = append(out, name)
 	}

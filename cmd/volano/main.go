@@ -14,13 +14,13 @@ import (
 	"strings"
 
 	"elsc/internal/experiments"
-	"elsc/internal/kernel"
+	"elsc/internal/workload"
 	"elsc/internal/workload/volano"
 )
 
 func main() {
 	var (
-		schedName = flag.String("sched", "elsc", "scheduler: reg, elsc, heap, mq")
+		schedName = flag.String("sched", "elsc", "scheduler: "+strings.Join(experiments.Policies, ", "))
 		cpus      = flag.Int("cpus", 1, "number of processors")
 		smp       = flag.Bool("smp", false, "SMP kernel build (1 CPU without this is the paper's UP)")
 		rooms     = flag.Int("rooms", 10, "chat rooms (paper sweeps 5,10,15,20)")
@@ -32,26 +32,29 @@ func main() {
 		showPS    = flag.Bool("ps", false, "dump a ps-style table of the top tasks")
 	)
 	flag.Parse()
+	if err := experiments.CheckName(*schedName, experiments.Policies); err != nil {
+		fmt.Fprintf(os.Stderr, "volano: -sched: %v\n", err)
+		os.Exit(2)
+	}
+	if *rooms < 1 || *users < 1 || *messages < 1 {
+		fmt.Fprintln(os.Stderr, "volano: -rooms, -users and -messages must be positive")
+		os.Exit(2)
+	}
 
-	m := kernel.NewMachine(kernel.Config{
-		CPUs:         *cpus,
-		SMP:          *smp || *cpus > 1,
-		Seed:         *seed,
-		NewScheduler: experiments.Factory(*schedName),
-		MaxCycles:    *horizon * kernel.DefaultHz,
-	})
-	b := volano.Build(m, volano.Config{
+	spec := experiments.MachineSpec{Label: fmt.Sprintf("%dP", *cpus), CPUs: *cpus, SMP: *smp || *cpus > 1}
+	m := experiments.NewMachine(spec, experiments.Factory(*schedName),
+		experiments.Scale{Seed: *seed, HorizonSeconds: *horizon}, nil)
+	res := workload.NewVolano(m, volano.Config{
 		Rooms:           *rooms,
 		UsersPerRoom:    *users,
 		MessagesPerUser: *messages,
-	})
+	}).Run()
+	threads, _ := res.Extra("threads")
+	expected := uint64(*rooms) * uint64(*users) * uint64(*users) * uint64(*messages)
 	fmt.Printf("VolanoMark: %d rooms x %d users x %d messages = %d threads, %d expected deliveries\n",
-		*rooms, *users, *messages, b.Threads(), b.ExpectedDeliveries())
-
-	res := b.Run()
-	if res.Deliveries != b.ExpectedDeliveries() {
-		fmt.Fprintf(os.Stderr, "warning: run hit the horizon with %d/%d deliveries\n",
-			res.Deliveries, b.ExpectedDeliveries())
+		*rooms, *users, *messages, int(threads), expected)
+	if res.Ops != expected {
+		fmt.Fprintf(os.Stderr, "warning: run hit the horizon with %d/%d deliveries\n", res.Ops, expected)
 	}
 	s := m.Stats()
 	fmt.Printf("scheduler:           %s\n", m.Scheduler().Name())

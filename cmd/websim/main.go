@@ -7,6 +7,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strings"
 
 	"elsc/internal/experiments"
 	"elsc/internal/workload/webserver"
@@ -14,17 +16,21 @@ import (
 
 func main() {
 	var (
-		spec     = flag.String("machine", "2P", "machine spec: UP, 1P, 2P, 4P")
+		spec     = flag.String("machine", "2P", "machine spec: "+strings.Join(experiments.SpecLabels(), ", "))
 		workers  = flag.Int("workers", 64, "httpd worker processes")
 		requests = flag.Int("requests", 20000, "requests to serve")
 		period   = flag.Uint64("arrival", 40_000, "mean cycles between arrivals")
 		seed     = flag.Int64("seed", 42, "simulation seed")
 	)
 	flag.Parse()
+	if err := experiments.CheckName(*spec, experiments.SpecLabels()); err != nil {
+		fmt.Fprintf(os.Stderr, "websim: -machine: %v\n", err)
+		os.Exit(2)
+	}
 
 	sc := experiments.DefaultScale()
 	sc.Seed = *seed
-	tab := experiments.WebserverWith(experiments.SpecByLabel(*spec), webserver.Config{
+	tab := experiments.Webserver(experiments.SpecByLabel(*spec), webserver.Config{
 		Workers:       *workers,
 		Requests:      *requests,
 		ArrivalPeriod: *period,

@@ -56,7 +56,12 @@
 // per-workload methods (RunVolanoMark, RunDatabase, RunWakeStorm, ...)
 // take each benchmark's full Config instead. cmd/sweep's matrix
 // experiment races every policy against every workload on a chosen set
-// of machine specs and records each cell in BENCH_sweep.json.
+// of machine specs and records each cell in BENCH_sweep.json. Every
+// table the sweep and the kcompile, websim and volano commands print is
+// built the same way inside the experiments harness: a list of cells
+// (spec, scheduler, workload built from a registry name or a full
+// Config) run by one cell runner on one machine constructor, so a new
+// policy or workload reaches every measurement through one path.
 //
 // # Topology and cache domains
 //

@@ -90,9 +90,6 @@ type MachineConfig struct {
 	MaxSeconds uint64
 	// Cost overrides the default cost model.
 	Cost *CostModel
-	// UniformSpawnCounter disables fork-style quantum inheritance; see
-	// the kernel documentation. Tests use it; realistic runs should not.
-	UniformSpawnCounter bool
 	// Watchdog, when non-nil, arms the starvation/lockup watchdog: a
 	// periodic sweep that reports runnable tasks starved past a
 	// threshold, tasks lost from every run queue, and online CPUs whose
@@ -128,15 +125,14 @@ func NewMachine(cfg MachineConfig) *Machine {
 		topo = sched.UniformTopology(cfg.CPUs, cfg.CacheDomains)
 	}
 	m := kernel.NewMachine(kernel.Config{
-		CPUs:                cfg.CPUs,
-		SMP:                 cfg.SMP,
-		Topology:            topo,
-		Seed:                cfg.Seed,
-		NewScheduler:        factory,
-		Cost:                cfg.Cost,
-		MaxCycles:           cfg.MaxSeconds * kernel.DefaultHz,
-		UniformSpawnCounter: cfg.UniformSpawnCounter,
-		Watchdog:            cfg.Watchdog,
+		CPUs:         cfg.CPUs,
+		SMP:          cfg.SMP,
+		Topology:     topo,
+		Seed:         cfg.Seed,
+		NewScheduler: factory,
+		Cost:         cfg.Cost,
+		MaxCycles:    cfg.MaxSeconds * kernel.DefaultHz,
+		Watchdog:     cfg.Watchdog,
 	})
 	return &Machine{m: m}
 }

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"elsc/internal/kernel"
 	"elsc/internal/sched"
 	"elsc/internal/sched/elsc"
 	"elsc/internal/stats"
+	"elsc/internal/workload"
 	"elsc/internal/workload/volano"
 )
 
@@ -18,19 +18,17 @@ import (
 //   - the table size (30 lists),
 //   - the uniprocessor memory-map shortcut (§5.2).
 
-// runELSCVariant measures VolanoMark throughput under a configured ELSC.
-func runELSCVariant(spec MachineSpec, cfg elsc.Config, rooms int, sc Scale) (volano.Result, kernel.Stats) {
-	m := kernel.NewMachine(kernel.Config{
-		CPUs: spec.CPUs,
-		SMP:  spec.SMP,
-		Seed: sc.Seed,
-		NewScheduler: func(env *sched.Env) sched.Scheduler {
-			return elsc.NewWithConfig(env, cfg)
-		},
-		MaxCycles: sc.HorizonSeconds * kernel.DefaultHz,
-	})
-	b := volano.Build(m, volano.Config{Rooms: rooms, MessagesPerUser: sc.Messages})
-	return b.Run(), *m.Stats()
+// runELSCVariants runs VolanoMark once per ELSC config on spec, in
+// parallel, and returns the runs in cfgs order.
+func runELSCVariants(spec MachineSpec, cfgs []elsc.Config, rooms int, sc Scale) []WorkloadRun {
+	cells := make([]Cell, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg := cfg
+		cells[i] = Cell{Spec: spec, Policy: ELSC, Load: volanoLoad(rooms),
+			Factory: func(env *sched.Env) sched.Scheduler { return elsc.NewWithConfig(env, cfg) },
+			Build:   builds(workload.NewVolano, volano.Config{Rooms: rooms, MessagesPerUser: sc.Messages})}
+	}
+	return RunCells(cells, sc)
 }
 
 // AblateSearchLimit sweeps the per-list examination cap.
@@ -39,10 +37,13 @@ func AblateSearchLimit(spec MachineSpec, rooms int, limits []int, sc Scale) *sta
 		fmt.Sprintf("Ablation: ELSC search limit (%s, %d rooms; paper uses ncpu/2+5 = %d)",
 			spec.Label, rooms, spec.CPUs/2+5),
 		"Limit", "Throughput", "cyc/sched", "examined", "migrations")
-	for _, lim := range limits {
-		res, st := runELSCVariant(spec, elsc.Config{SearchLimit: lim}, rooms, sc)
-		t.AddRow(lim, int(res.Throughput), int(st.CyclesPerSchedule()),
-			st.ExaminedPerSchedule(), st.Migrations)
+	cfgs := make([]elsc.Config, len(limits))
+	for i, lim := range limits {
+		cfgs[i] = elsc.Config{SearchLimit: lim}
+	}
+	for i, r := range runELSCVariants(spec, cfgs, rooms, sc) {
+		t.AddRow(limits[i], int(r.Result.Throughput), int(r.Stats.CyclesPerSchedule()),
+			r.Stats.ExaminedPerSchedule(), r.Stats.Migrations)
 	}
 	return t
 }
@@ -52,10 +53,13 @@ func AblateTableSize(spec MachineSpec, rooms int, sizes []int, sc Scale) *stats.
 	t := stats.NewTable(
 		fmt.Sprintf("Ablation: ELSC table size (%s, %d rooms; paper uses 30)", spec.Label, rooms),
 		"Lists", "Throughput", "cyc/sched", "examined")
-	for _, size := range sizes {
-		res, st := runELSCVariant(spec, elsc.Config{TableSize: size}, rooms, sc)
-		t.AddRow(size, int(res.Throughput), int(st.CyclesPerSchedule()),
-			st.ExaminedPerSchedule())
+	cfgs := make([]elsc.Config, len(sizes))
+	for i, size := range sizes {
+		cfgs[i] = elsc.Config{TableSize: size}
+	}
+	for i, r := range runELSCVariants(spec, cfgs, rooms, sc) {
+		t.AddRow(sizes[i], int(r.Result.Throughput), int(r.Stats.CyclesPerSchedule()),
+			r.Stats.ExaminedPerSchedule())
 	}
 	return t
 }
@@ -65,15 +69,11 @@ func AblateUPShortcut(rooms int, sc Scale) *stats.Table {
 	t := stats.NewTable(
 		fmt.Sprintf("Ablation: ELSC UP shortcut (UP, %d rooms)", rooms),
 		"Shortcut", "Throughput", "cyc/sched", "examined")
-	spec := SpecByLabel("UP")
-	for _, off := range []bool{false, true} {
-		res, st := runELSCVariant(spec, elsc.Config{DisableUPShortcut: off}, rooms, sc)
-		label := "on (paper)"
-		if off {
-			label = "off"
-		}
-		t.AddRow(label, int(res.Throughput), int(st.CyclesPerSchedule()),
-			st.ExaminedPerSchedule())
+	runs := runELSCVariants(SpecByLabel("UP"), []elsc.Config{{}, {DisableUPShortcut: true}}, rooms, sc)
+	for i, label := range []string{"on (paper)", "off"} {
+		r := runs[i]
+		t.AddRow(label, int(r.Result.Throughput), int(r.Stats.CyclesPerSchedule()),
+			r.Stats.ExaminedPerSchedule())
 	}
 	return t
 }

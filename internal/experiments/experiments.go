@@ -1,13 +1,24 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (§6), plus the future-work comparisons (§8) and our ablation
-// studies. Each experiment builds fresh machines, runs the appropriate
-// workload per configuration, and renders the same rows/series the paper
-// reports. Independent runs execute in parallel on the host.
+// studies, and renders the same rows/series the paper reports.
+//
+// Every measurement goes through one path. An experiment lists Cells — a
+// machine spec, a scheduler (a registered policy, or a tuned factory for
+// an ablation), and a function that builds a workload.Instance, either
+// from the registry (RegistryCell, MatrixCells) or from a workload
+// package's full Config through its registry adapter (VolanoCells, the
+// Table 2 and webserver cells). RunCells runs the cells in parallel on
+// the host, builds each machine with NewMachine on its worker's recycled
+// engine, and returns one WorkloadRun per cell: the common result, the
+// machine stats, the host wall-clock, and the policy's own estimator and
+// balancer counters where it has them. Tables look cells up with
+// FindWorkload; a figure cell's load label carries its room count.
 package experiments
 
 import (
 	"fmt"
 	"runtime"
+	"strings"
 
 	"elsc/internal/kernel"
 	"elsc/internal/sched"
@@ -17,10 +28,6 @@ import (
 	"elsc/internal/sched/mq"
 	"elsc/internal/sched/o1"
 	"elsc/internal/sched/vanilla"
-	"elsc/internal/sim"
-	"elsc/internal/workload/kbuild"
-	"elsc/internal/workload/volano"
-	"elsc/internal/workload/webserver"
 )
 
 // Policy names, as the paper's figures label them.
@@ -174,37 +181,14 @@ func (s Scale) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// NewMachine builds a machine for a spec and policy.
-func NewMachine(spec MachineSpec, policy string, sc Scale) *kernel.Machine {
-	return NewMachineWith(spec, Factory(policy), sc)
-}
-
-// NewMachineOn builds a machine that boots on a recycled event engine
-// (nil allocates a fresh one; see kernel.Config.Engine).
-func NewMachineOn(eng *sim.Engine, spec MachineSpec, policy string, sc Scale) *kernel.Machine {
-	cfg := machineConfig(spec, Factory(policy), sc)
-	cfg.Engine = eng
-	return kernel.NewMachine(cfg)
-}
-
-// NewMachineWith builds a machine for a spec with an explicit scheduler
-// factory — the entry for ablation variants that tune a policy's config.
-func NewMachineWith(spec MachineSpec, factory kernel.SchedulerFactory, sc Scale) *kernel.Machine {
-	return kernel.NewMachine(machineConfig(spec, factory, sc))
-}
-
-// NewWatchedMachineWith builds a machine like NewMachineWith with the
-// starvation/lockup watchdog armed — what the scenario fuzzer runs on,
-// so liveness violations surface at their virtual timestamp instead of
-// end-of-run.
-func NewWatchedMachineWith(spec MachineSpec, factory kernel.SchedulerFactory, sc Scale, wd kernel.WatchdogConfig) *kernel.Machine {
-	cfg := machineConfig(spec, factory, sc)
-	cfg.Watchdog = &wd
-	return kernel.NewMachine(cfg)
-}
-
-func machineConfig(spec MachineSpec, factory kernel.SchedulerFactory, sc Scale) kernel.Config {
-	return kernel.Config{
+// NewMachine is the harness's one machine constructor: the spec's
+// processors, SMP build and cache-domain topology, booted under factory
+// with every Scale field that shapes a machine (seed, horizon, tickless
+// mode). with, when non-nil, edits the config before boot: the cell
+// runner hands in its worker's recycled engine, the scenario fuzzer its
+// watchdog and trace hook.
+func NewMachine(spec MachineSpec, factory kernel.SchedulerFactory, sc Scale, with func(*kernel.Config)) *kernel.Machine {
+	cfg := kernel.Config{
 		CPUs:         spec.CPUs,
 		SMP:          spec.SMP,
 		Topology:     spec.Topology(),
@@ -213,125 +197,20 @@ func machineConfig(spec MachineSpec, factory kernel.SchedulerFactory, sc Scale) 
 		MaxCycles:    sc.HorizonSeconds * kernel.DefaultHz,
 		TicklessOff:  sc.TicklessOff,
 	}
-}
-
-// VolanoRun is one VolanoMark measurement.
-type VolanoRun struct {
-	Spec   MachineSpec
-	Policy string
-	Rooms  int
-	Result volano.Result
-	Stats  kernel.Stats
-
-	// IntraSteals and CrossSteals are the balancer's own same-domain and
-	// cross-domain move counts, for policies that track them (HasSteals).
-	IntraSteals uint64
-	CrossSteals uint64
-	HasSteals   bool
-}
-
-// domainStealer is implemented by policies whose balancer counts its own
-// intra- versus cross-domain moves (o1, cfs: the shared sched.Balancer).
-type domainStealer interface {
-	DomainSteals() (intra, cross uint64)
-}
-
-// Key renders "elsc-4P@20" style identifiers.
-func (r VolanoRun) Key() string {
-	return fmt.Sprintf("%s-%s@%d", r.Policy, r.Spec.Label, r.Rooms)
-}
-
-// RunVolano executes one VolanoMark configuration.
-func RunVolano(spec MachineSpec, policy string, rooms int, sc Scale) VolanoRun {
-	return RunVolanoConfig(spec, policy,
-		volano.Config{Rooms: rooms, MessagesPerUser: sc.Messages}, sc)
-}
-
-// RunVolanoConfig executes one VolanoMark run with a fully specified
-// workload config (the NUMA experiments run the scalable-stack variant).
-func RunVolanoConfig(spec MachineSpec, policy string, vcfg volano.Config, sc Scale) VolanoRun {
-	return RunVolanoConfigOn(nil, spec, policy, vcfg, sc)
-}
-
-// RunVolanoConfigOn is RunVolanoConfig on a recycled event engine (nil
-// builds a fresh one) — the matrix worker pool's entry.
-func RunVolanoConfigOn(eng *sim.Engine, spec MachineSpec, policy string, vcfg volano.Config, sc Scale) VolanoRun {
-	return runVolanoOn(NewMachineOn(eng, spec, policy, sc), spec, policy, vcfg)
-}
-
-// runVolanoOn runs the workload on a prepared machine and harvests the
-// result, stats, and the balancer's steal counters when tracked.
-func runVolanoOn(m *kernel.Machine, spec MachineSpec, policy string, vcfg volano.Config) VolanoRun {
-	res := volano.Build(m, vcfg).Run()
-	run := VolanoRun{Spec: spec, Policy: policy, Rooms: vcfg.Rooms, Result: res, Stats: *m.Stats()}
-	if ds, ok := m.Scheduler().(domainStealer); ok {
-		run.IntraSteals, run.CrossSteals = ds.DomainSteals()
-		run.HasSteals = true
+	if with != nil {
+		with(&cfg)
 	}
-	return run
+	return kernel.NewMachine(cfg)
 }
 
-// matrixJob identifies one cell of a sweep.
-type matrixJob struct {
-	spec   MachineSpec
-	policy string
-	rooms  int
-}
-
-// RunVolanoMatrix sweeps policies × specs × rooms, running cells in
-// parallel, and returns results in deterministic (input) order.
-func RunVolanoMatrix(policies []string, specs []MachineSpec, rooms []int, sc Scale) []VolanoRun {
-	var jobs []matrixJob
-	for _, p := range policies {
-		for _, spec := range specs {
-			for _, r := range rooms {
-				jobs = append(jobs, matrixJob{spec: spec, policy: p, rooms: r})
-			}
+// CheckName returns nil when name is in registered, else the usage
+// diagnostic the commands print before exiting 2: the unknown name and
+// the registered set.
+func CheckName(name string, registered []string) error {
+	for _, r := range registered {
+		if r == name {
+			return nil
 		}
 	}
-	return forEachParallel(len(jobs), sc, func(i int, eng *sim.Engine) VolanoRun {
-		j := jobs[i]
-		return RunVolanoConfigOn(eng, j.spec, j.policy,
-			volano.Config{Rooms: j.rooms, MessagesPerUser: sc.Messages}, sc)
-	})
-}
-
-// Find returns the run matching the key parameters, or panics; matrices
-// are small and a missing cell is a harness bug.
-func Find(runs []VolanoRun, policy, label string, rooms int) VolanoRun {
-	for _, r := range runs {
-		if r.Policy == policy && r.Spec.Label == label && r.Rooms == rooms {
-			return r
-		}
-	}
-	panic(fmt.Sprintf("experiments: no run %s-%s@%d", policy, label, rooms))
-}
-
-// KBuildRun is one Table 2 measurement.
-type KBuildRun struct {
-	Spec   MachineSpec
-	Policy string
-	Result kbuild.Result
-}
-
-// RunKBuild executes one kernel-compile configuration.
-func RunKBuild(spec MachineSpec, policy string, cfg kbuild.Config, sc Scale) KBuildRun {
-	m := NewMachine(spec, policy, sc)
-	b := kbuild.New(m, cfg)
-	return KBuildRun{Spec: spec, Policy: policy, Result: b.Run()}
-}
-
-// WebRun is one future-work webserver measurement.
-type WebRun struct {
-	Spec   MachineSpec
-	Policy string
-	Result webserver.Result
-	Stats  kernel.Stats
-}
-
-// RunWeb executes one webserver configuration.
-func RunWeb(spec MachineSpec, policy string, cfg webserver.Config, sc Scale) WebRun {
-	m := NewMachine(spec, policy, sc)
-	s := webserver.New(m, cfg)
-	return WebRun{Spec: spec, Policy: policy, Result: s.Run(), Stats: *m.Stats()}
+	return fmt.Errorf("unknown name %q (registered: %s)", name, strings.Join(registered, " "))
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"elsc/internal/workload"
 	"elsc/internal/workload/kbuild"
 	"elsc/internal/workload/webserver"
 )
@@ -16,9 +17,9 @@ func tinyScale() Scale {
 // tinyRooms shrinks the room sweep.
 var tinyRooms = []int{1, 2}
 
-func tinyMatrix(t *testing.T) []VolanoRun {
+func tinyMatrix(t *testing.T) []WorkloadRun {
 	t.Helper()
-	return RunVolanoMatrix([]string{Reg, ELSC}, PaperSpecs, tinyRooms, tinyScale())
+	return RunCells(VolanoCells([]string{Reg, ELSC}, PaperSpecs, tinyRooms, tinyScale()), tinyScale())
 }
 
 func TestMatrixCoversAllCells(t *testing.T) {
@@ -29,8 +30,8 @@ func TestMatrixCoversAllCells(t *testing.T) {
 	for _, policy := range []string{Reg, ELSC} {
 		for _, spec := range PaperSpecs {
 			for _, r := range tinyRooms {
-				run := Find(runs, policy, spec.Label, r)
-				if run.Result.Deliveries == 0 {
+				run := FindWorkload(runs, policy, spec.Label, volanoLoad(r))
+				if run.Result.Ops == 0 {
 					t.Fatalf("%s produced no deliveries", run.Key())
 				}
 			}
@@ -43,8 +44,8 @@ func TestMatrixDeterministicAcrossParallelism(t *testing.T) {
 	sc1.Parallel = 1
 	sc4 := tinyScale()
 	sc4.Parallel = 4
-	a := RunVolanoMatrix([]string{ELSC}, PaperSpecs[:2], tinyRooms, sc1)
-	b := RunVolanoMatrix([]string{ELSC}, PaperSpecs[:2], tinyRooms, sc4)
+	a := RunCells(VolanoCells([]string{ELSC}, PaperSpecs[:2], tinyRooms, sc1), sc1)
+	b := RunCells(VolanoCells([]string{ELSC}, PaperSpecs[:2], tinyRooms, sc4), sc4)
 	for i := range a {
 		if a[i].Result.Cycles != b[i].Result.Cycles {
 			t.Fatalf("run %s differs across parallelism: %d vs %d",
@@ -58,12 +59,12 @@ func TestFig3ShapeELSCFlatRegDecays(t *testing.T) {
 	// stays roughly flat. Use a wider spread for signal.
 	sc := Scale{Messages: 8, Seed: 42, HorizonSeconds: 900}
 	rooms := []int{2, 8}
-	runs := RunVolanoMatrix([]string{Reg, ELSC}, []MachineSpec{SpecByLabel("UP")}, rooms, sc)
+	runs := RunCells(VolanoCells([]string{Reg, ELSC}, []MachineSpec{SpecByLabel("UP")}, rooms, sc), sc)
 
-	regLo := Find(runs, Reg, "UP", 2).Result.Throughput
-	regHi := Find(runs, Reg, "UP", 8).Result.Throughput
-	elscLo := Find(runs, ELSC, "UP", 2).Result.Throughput
-	elscHi := Find(runs, ELSC, "UP", 8).Result.Throughput
+	regLo := FindWorkload(runs, Reg, "UP", volanoLoad(2)).Result.Throughput
+	regHi := FindWorkload(runs, Reg, "UP", volanoLoad(8)).Result.Throughput
+	elscLo := FindWorkload(runs, ELSC, "UP", volanoLoad(2)).Result.Throughput
+	elscHi := FindWorkload(runs, ELSC, "UP", volanoLoad(8)).Result.Throughput
 
 	regScale := regHi / regLo
 	elscScale := elscHi / elscLo
@@ -78,8 +79,8 @@ func TestFig3ShapeELSCFlatRegDecays(t *testing.T) {
 func TestFig5ShapeELSCCheaper(t *testing.T) {
 	runs := tinyMatrix(t)
 	for _, spec := range PaperSpecs {
-		e := Find(runs, ELSC, spec.Label, 2).Stats
-		r := Find(runs, Reg, spec.Label, 2).Stats
+		e := FindWorkload(runs, ELSC, spec.Label, volanoLoad(2)).Stats
+		r := FindWorkload(runs, Reg, spec.Label, volanoLoad(2)).Stats
 		if e.CyclesPerSchedule() >= r.CyclesPerSchedule() {
 			t.Errorf("%s: elsc cyc/sched %.0f not below reg %.0f",
 				spec.Label, e.CyclesPerSchedule(), r.CyclesPerSchedule())
@@ -109,7 +110,7 @@ func TestFigureTablesRender(t *testing.T) {
 }
 
 func TestTable2Renders(t *testing.T) {
-	tab := Table2(tinyScale())
+	tab := Table2(tinyScale(), workload.KBuildConfig(WorkloadParams(SpecByLabel("2P"), tinyScale())))
 	out := tab.Render()
 	for _, want := range []string{"Current - UP", "ELSC - UP", "Current - 2P", "ELSC - 2P"} {
 		if !strings.Contains(out, want) {
@@ -119,7 +120,7 @@ func TestTable2Renders(t *testing.T) {
 }
 
 func TestTable2WithRenders(t *testing.T) {
-	tab := Table2With(tinyScale(), kbuild.Config{Units: 16, MeanCompile: 3_000_000, MeanIO: 50_000})
+	tab := Table2(tinyScale(), kbuild.Config{Units: 16, MeanCompile: 3_000_000, MeanIO: 50_000})
 	if tab.NumRows() != 4 {
 		t.Fatalf("Table 2 (explicit config) rows = %d, want 4", tab.NumRows())
 	}
@@ -149,14 +150,14 @@ func TestLockContentionTable(t *testing.T) {
 }
 
 func TestWebserverTable(t *testing.T) {
-	tab := Webserver(SpecByLabel("2P"), tinyScale())
+	tab := Webserver(SpecByLabel("2P"), workload.WebServerConfig(WorkloadParams(SpecByLabel("2P"), tinyScale())), tinyScale())
 	if tab.NumRows() != 2 {
 		t.Fatalf("webserver table rows = %d, want 2", tab.NumRows())
 	}
 }
 
 func TestWebserverWithTable(t *testing.T) {
-	tab := WebserverWith(SpecByLabel("2P"), webserver.Config{Workers: 8, Requests: 200}, tinyScale())
+	tab := Webserver(SpecByLabel("2P"), webserver.Config{Workers: 8, Requests: 200}, tinyScale())
 	if tab.NumRows() != 2 {
 		t.Fatalf("webserver table rows = %d, want 2", tab.NumRows())
 	}
@@ -177,18 +178,35 @@ func TestAblationTables(t *testing.T) {
 
 func TestFactoryNames(t *testing.T) {
 	for _, name := range Policies {
-		m := NewMachine(SpecByLabel("1P"), name, tinyScale())
+		m := NewMachine(SpecByLabel("1P"), Factory(name), tinyScale(), nil)
 		if m.Scheduler().Name() != name {
 			t.Fatalf("factory %q built scheduler %q", name, m.Scheduler().Name())
 		}
 	}
 }
 
+// TestFindPanicsOnMissing: figure cells carry their room count in the
+// cell identity, so a lookup at a room count the sweep did not run
+// panics even when the same policy and spec ran at another.
 func TestFindPanicsOnMissing(t *testing.T) {
+	runs := RunCells(VolanoCells([]string{Reg}, []MachineSpec{SpecByLabel("UP")}, []int{1}, tinyScale()), tinyScale())
+	if got := FindWorkload(runs, Reg, "UP", volanoLoad(1)); got.Load != "volano@1" {
+		t.Fatalf("figure cell load = %q, want volano@1", got.Load)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Find on empty runs should panic")
+			t.Fatal("lookup of an unrun room count should panic")
 		}
 	}()
-	Find(nil, Reg, "UP", 5)
+	FindWorkload(runs, Reg, "UP", volanoLoad(5))
+}
+
+func TestCheckNameDiagnostic(t *testing.T) {
+	if err := CheckName(CFS, Policies); err != nil {
+		t.Fatalf("registered policy rejected: %v", err)
+	}
+	want := `unknown name "bogus" (registered: reg elsc heap mq o1 cfs)`
+	if err := CheckName("bogus", Policies); err == nil || err.Error() != want {
+		t.Fatalf("diagnostic = %v, want %q", err, want)
+	}
 }

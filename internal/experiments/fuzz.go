@@ -239,7 +239,7 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 	// liveness bug (or a watchdog false positive) on a clean run.
 	bwd := FuzzWatchdogConfig()
 	bwd.OnViolation = func(v kernel.WatchdogViolation) { fail("baseline %s", v) }
-	bm := NewWatchedMachineWith(spec, factoryFor(s.Policy), sc, bwd)
+	bm := NewMachine(spec, factoryFor(s.Policy), sc, func(cfg *kernel.Config) { cfg.Watchdog = &bwd })
 	bres := workload.Build(s.Load, bm, WorkloadParams(spec, sc)).Run()
 	if violation != nil {
 		return rep, violation
@@ -256,10 +256,10 @@ func RunScenarioOpts(s Scenario, opts ScenarioOpts) (FuzzReport, error) {
 			opts.OnViolation(v)
 		}
 	}
-	mcfg := machineConfig(spec, factoryFor(s.Policy), sc)
-	mcfg.Watchdog = &wd
-	mcfg.Trace = opts.Trace
-	m := kernel.NewMachine(mcfg)
+	m := NewMachine(spec, factoryFor(s.Policy), sc, func(cfg *kernel.Config) {
+		cfg.Watchdog = &wd
+		cfg.Trace = opts.Trace
+	})
 	inst := workload.Build(s.Load, m, WorkloadParams(spec, sc))
 
 	rng := sim.NewRNG(s.Seed ^ 0x5eed)

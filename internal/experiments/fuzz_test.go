@@ -96,7 +96,8 @@ func TestFuzzZeroInjectionMatchesPlainDigest(t *testing.T) {
 			}
 			spec := SpecByLabel(s.Spec)
 			sc := fuzzScale(seed)
-			m := NewWatchedMachineWith(spec, Factory(policy), sc, FuzzWatchdogConfig())
+			wd := FuzzWatchdogConfig()
+			m := NewMachine(spec, Factory(policy), sc, func(cfg *kernel.Config) { cfg.Watchdog = &wd })
 			res := workload.Build(s.Load, m, WorkloadParams(spec, sc)).Run()
 			plain := fmt.Sprintf("%+v\n%s", res, m.Stats().Registry().Render())
 			if rep.Digest != plain {

@@ -5,7 +5,6 @@ import (
 
 	"elsc/internal/sched"
 	"elsc/internal/sched/o1"
-	"elsc/internal/sim"
 	"elsc/internal/stats"
 	"elsc/internal/workload"
 )
@@ -17,21 +16,15 @@ import (
 // PR 3 exposed as o1's fidelity gap, where quantum-expired probes parked
 // behind a full hog quantum in the expired array.
 
-// o1InteractivityConfig returns the o1 config for one ablation arm: the
-// full machinery, or both halves disabled (the pre-interactivity
-// scheduler, kept as the baseline).
-func o1InteractivityConfig(off bool) o1.Config {
-	return o1.Config{InteractivityOff: off, WakeIdleOff: off}
-}
-
-// RunO1Interactivity runs one registry workload under o1 with the
-// interactivity machinery on or off — the benchmark and acceptance-test
-// entry point for the ablation.
-func RunO1Interactivity(spec MachineSpec, load string, off bool, sc Scale) WorkloadRun {
-	cfg := o1InteractivityConfig(off)
-	return RunWorkloadCellWith(spec, func(env *sched.Env) sched.Scheduler {
-		return o1.NewWithConfig(env, cfg)
-	}, O1, load, sc)
+// O1InteractivityCell is the interactivity ablation's cell: one registry
+// workload under o1 with the full interactivity machinery, or (off) with
+// both halves disabled — the pre-interactivity scheduler, kept as the
+// baseline.
+func O1InteractivityCell(spec MachineSpec, load string, off bool, sc Scale) Cell {
+	cfg := o1.Config{InteractivityOff: off, WakeIdleOff: off}
+	c := RegistryCell(spec, O1, load, sc)
+	c.Factory = func(env *sched.Env) sched.Scheduler { return o1.NewWithConfig(env, cfg) }
+	return c
 }
 
 // AblateInteractivity isolates the interactivity machinery on one spec:
@@ -52,16 +45,15 @@ func AblateInteractivity(spec MachineSpec, sc Scale) *stats.Table {
 		off   bool
 	}
 	arms := []arm{{"interactive", false}, {"interactivity-off", true}}
-	type armRuns struct{ lat, storm WorkloadRun }
-	runs := make([]armRuns, len(arms))
-	forEachIndexParallel(len(arms), sc, func(i int, _ *sim.Engine) {
-		runs[i] = armRuns{
-			lat:   RunO1Interactivity(spec, workload.Latency, arms[i].off, sc),
-			storm: RunO1Interactivity(spec, workload.WakeStorm, arms[i].off, sc),
-		}
-	})
+	var cells []Cell
+	for _, a := range arms {
+		cells = append(cells,
+			O1InteractivityCell(spec, workload.Latency, a.off, sc),
+			O1InteractivityCell(spec, workload.WakeStorm, a.off, sc))
+	}
+	runs := RunCells(cells, sc)
 	for i, a := range arms {
-		lat, storm := runs[i].lat, runs[i].storm
+		lat, storm := runs[2*i], runs[2*i+1]
 		latP99, _ := lat.Result.Extra("p99_us")
 		latMax, _ := lat.Result.Extra("max_us")
 		stormP99, _ := storm.Result.Extra("p99_us")

@@ -21,9 +21,12 @@ func TestInteractivityFixesLatencyCollapse(t *testing.T) {
 	spec := SpecByLabel("32P-NUMA")
 	sc := Scale{Messages: 10, Seed: 42, HorizonSeconds: 600, Quick: true}
 
-	on := RunO1Interactivity(spec, workload.Latency, false, sc)
-	off := RunO1Interactivity(spec, workload.Latency, true, sc)
-	reg := RunWorkloadCell(spec, Reg, workload.Latency, sc)
+	runs := RunCells([]Cell{
+		O1InteractivityCell(spec, workload.Latency, false, sc),
+		O1InteractivityCell(spec, workload.Latency, true, sc),
+		RegistryCell(spec, Reg, workload.Latency, sc),
+	}, sc)
+	on, off, reg := runs[0], runs[1], runs[2]
 	for _, r := range []WorkloadRun{on, off, reg} {
 		if !r.Result.Complete || r.Result.Ops == 0 {
 			t.Fatalf("%s run incomplete", r.Key())

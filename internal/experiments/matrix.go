@@ -14,13 +14,13 @@ import (
 	"elsc/internal/workload"
 )
 
-// The generic policy x workload x machine matrix runner. Where the
-// figure-specific harnesses in this package reproduce the paper's
-// VolanoMark-centric evaluation, these entry points drive any workload in
-// the registry under any registered policy on any machine spec, through
-// one code path: a new workload registered in internal/workload (or a new
-// policy in Policies) joins every matrix table, the determinism
-// regression, and the sweep JSON without further wiring.
+// The cell runner. Every measurement in this package — the paper's
+// figures, the §8 alternatives, the ablations, the NUMA and interactivity
+// studies, and the policy x workload x machine matrix — is a list of
+// Cells handed to RunCells, which builds each cell's machine with
+// NewMachine on a worker's recycled engine, runs its workload, and
+// harvests one WorkloadRun. A new policy or workload therefore reaches
+// every table through one path.
 
 // WorkloadParams maps a Scale onto the registry's sizing knobs for a run
 // on the given spec. Machines past the paper's hardware (16+ CPUs) get
@@ -36,7 +36,43 @@ func WorkloadParams(spec MachineSpec, sc Scale) workload.Params {
 	}
 }
 
-// WorkloadRun is one cell of the generic matrix.
+// Cell is one run: a machine spec, a scheduler, and the workload to build
+// on the machine.
+type Cell struct {
+	Spec MachineSpec
+	// Policy labels the scheduler in tables and lookups. Factory builds
+	// it; nil means the registered policy named Policy.
+	Policy  string
+	Factory kernel.SchedulerFactory
+	// Load labels the workload: the registry name, or a figure's
+	// "volano@10" carrying its room count. Build constructs it.
+	Load  string
+	Build func(m *kernel.Machine) workload.Instance
+}
+
+// RegistryCell is the matrix cell: a registered policy running a
+// registered workload sized by WorkloadParams.
+func RegistryCell(spec MachineSpec, policy, load string, sc Scale) Cell {
+	p := WorkloadParams(spec, sc)
+	return Cell{Spec: spec, Policy: policy, Load: load,
+		Build: func(m *kernel.Machine) workload.Instance { return workload.Build(load, m, p) }}
+}
+
+// MatrixCells lists policies x specs x loads as registry cells, in the
+// matrix tables' order.
+func MatrixCells(policies []string, specs []MachineSpec, loads []string, sc Scale) []Cell {
+	var cells []Cell
+	for _, spec := range specs {
+		for _, l := range loads {
+			for _, p := range policies {
+				cells = append(cells, RegistryCell(spec, p, l, sc))
+			}
+		}
+	}
+	return cells
+}
+
+// WorkloadRun is one cell's measurement.
 type WorkloadRun struct {
 	Spec   MachineSpec
 	Policy string
@@ -57,6 +93,12 @@ type WorkloadRun struct {
 	BonusLevels         []uint64
 	InteractiveRequeues uint64
 	HasBonus            bool
+
+	// IntraSteals and CrossSteals are the balancer's own same-domain and
+	// cross-domain move counts, for policies that track them (HasSteals).
+	IntraSteals uint64
+	CrossSteals uint64
+	HasSteals   bool
 }
 
 // bonusStatser is implemented by policies whose interactivity estimator
@@ -66,71 +108,43 @@ type bonusStatser interface {
 	InteractiveRequeues() uint64
 }
 
+// domainStealer is implemented by policies whose balancer counts its own
+// intra- versus cross-domain moves (o1, cfs: the shared sched.Balancer).
+type domainStealer interface {
+	DomainSteals() (intra, cross uint64)
+}
+
 // Key renders "db-o1-8P" style identifiers.
 func (r WorkloadRun) Key() string {
 	return fmt.Sprintf("%s-%s-%s", r.Load, r.Policy, r.Spec.Label)
 }
 
-// RunWorkloadCell executes one workload under one policy on one spec.
-func RunWorkloadCell(spec MachineSpec, policy, load string, sc Scale) WorkloadRun {
-	return RunWorkloadCellOn(nil, spec, policy, load, sc)
-}
-
-// RunWorkloadCellOn is RunWorkloadCell on a recycled event engine (nil
-// builds a fresh one): the matrix worker pool passes each worker's
-// engine so hundreds of cells share one heap array, wheel, and freelist
-// instead of re-paying engine construction per cell.
-func RunWorkloadCellOn(eng *sim.Engine, spec MachineSpec, policy, load string, sc Scale) WorkloadRun {
-	start := time.Now()
-	run := runWorkloadOn(NewMachineOn(eng, spec, policy, sc), spec, policy, load, sc)
-	run.WallNS = time.Since(start).Nanoseconds()
-	return run
-}
-
-// RunWorkloadCellWith executes one workload cell with an explicit
-// scheduler factory — the entry for ablation variants that tune a
-// policy's config (the interactivity and topology studies).
-func RunWorkloadCellWith(spec MachineSpec, factory kernel.SchedulerFactory, policyLabel, load string, sc Scale) WorkloadRun {
-	start := time.Now()
-	run := runWorkloadOn(NewMachineWith(spec, factory, sc), spec, policyLabel, load, sc)
-	run.WallNS = time.Since(start).Nanoseconds()
-	return run
-}
-
-// runWorkloadOn runs the named workload on a prepared machine and
-// harvests the result, machine stats, and the estimator counters when
-// the policy tracks them.
-func runWorkloadOn(m *kernel.Machine, spec MachineSpec, policy, load string, sc Scale) WorkloadRun {
-	res := workload.Build(load, m, WorkloadParams(spec, sc)).Run()
-	run := WorkloadRun{Spec: spec, Policy: policy, Load: load, Result: res, Stats: *m.Stats()}
-	if bs, ok := m.Scheduler().(bonusStatser); ok {
-		run.BonusLevels = bs.BonusLevels()
-		run.InteractiveRequeues = bs.InteractiveRequeues()
-		run.HasBonus = true
-	}
-	return run
-}
-
-// RunWorkloadMatrix sweeps policies x specs x workloads, running cells in
-// parallel, and returns results in deterministic (input) order.
-func RunWorkloadMatrix(policies []string, specs []MachineSpec, loads []string, sc Scale) []WorkloadRun {
-	type cell struct {
-		spec   MachineSpec
-		policy string
-		load   string
-	}
-	var jobs []cell
-	for _, spec := range specs {
-		for _, l := range loads {
-			for _, p := range policies {
-				jobs = append(jobs, cell{spec: spec, policy: p, load: l})
-			}
+// RunCells runs cells on a pool of sc.Workers() workers and returns their
+// runs in input order. Each worker builds its cells' machines on one
+// recycled event engine, so hundreds of cells share one heap array,
+// wheel, and freelist instead of re-paying engine construction per cell.
+func RunCells(cells []Cell, sc Scale) []WorkloadRun {
+	out := make([]WorkloadRun, len(cells))
+	forEachIndexParallel(len(cells), sc, func(i int, eng *sim.Engine) {
+		c := cells[i]
+		start := time.Now()
+		factory := c.Factory
+		if factory == nil {
+			factory = Factory(c.Policy)
 		}
-	}
-	out := make([]WorkloadRun, len(jobs))
-	forEachIndexParallel(len(jobs), sc, func(i int, eng *sim.Engine) {
-		j := jobs[i]
-		out[i] = RunWorkloadCellOn(eng, j.spec, j.policy, j.load, sc)
+		m := NewMachine(c.Spec, factory, sc, func(cfg *kernel.Config) { cfg.Engine = eng })
+		run := WorkloadRun{Spec: c.Spec, Policy: c.Policy, Load: c.Load, Result: c.Build(m).Run(), Stats: *m.Stats()}
+		if bs, ok := m.Scheduler().(bonusStatser); ok {
+			run.BonusLevels = bs.BonusLevels()
+			run.InteractiveRequeues = bs.InteractiveRequeues()
+			run.HasBonus = true
+		}
+		if ds, ok := m.Scheduler().(domainStealer); ok {
+			run.IntraSteals, run.CrossSteals = ds.DomainSteals()
+			run.HasSteals = true
+		}
+		run.WallNS = time.Since(start).Nanoseconds()
+		out[i] = run
 	})
 	return out
 }
@@ -209,7 +223,7 @@ func WorkloadDetail(runs []WorkloadRun, spec MachineSpec, policies []string, loa
 // actually executes.
 func WakeStorm(spec MachineSpec, sc Scale) *stats.Table {
 	pols := DefaultPolicies()
-	runs := RunWorkloadMatrix(pols, []MachineSpec{spec}, []string{workload.WakeStorm}, sc)
+	runs := RunCells(MatrixCells(pols, []MachineSpec{spec}, []string{workload.WakeStorm}, sc), sc)
 	return WorkloadDetail(runs, spec, pols, workload.WakeStorm)
 }
 

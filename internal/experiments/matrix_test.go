@@ -18,7 +18,7 @@ func TestWorkloadMatrixCoversAllCells(t *testing.T) {
 	policies := []string{Reg, O1}
 	specs := []MachineSpec{SpecByLabel("2P")}
 	loads := []string{workload.Volano, workload.DB}
-	runs := RunWorkloadMatrix(policies, specs, loads, matrixScale())
+	runs := RunCells(MatrixCells(policies, specs, loads, matrixScale()), matrixScale())
 	if len(runs) != len(policies)*len(specs)*len(loads) {
 		t.Fatalf("matrix has %d cells, want %d", len(runs), len(policies)*len(specs)*len(loads))
 	}
@@ -51,8 +51,8 @@ func TestWorkloadMatrixDeterministicAcrossParallelism(t *testing.T) {
 	sc4.Parallel = 4
 	policies := []string{Reg, O1}
 	loads := []string{workload.DB, workload.WakeStorm}
-	a := RunWorkloadMatrix(policies, []MachineSpec{SpecByLabel("2P")}, loads, sc1)
-	b := RunWorkloadMatrix(policies, []MachineSpec{SpecByLabel("2P")}, loads, sc4)
+	a := RunCells(MatrixCells(policies, []MachineSpec{SpecByLabel("2P")}, loads, sc1), sc1)
+	b := RunCells(MatrixCells(policies, []MachineSpec{SpecByLabel("2P")}, loads, sc4), sc4)
 	if len(a) != len(b) {
 		t.Fatalf("matrix size differs across parallelism: %d vs %d", len(a), len(b))
 	}
@@ -74,7 +74,7 @@ func TestMatrixTableShape(t *testing.T) {
 	policies := []string{Reg, ELSC}
 	spec := SpecByLabel("2P")
 	loads := []string{workload.Volano, workload.KBuild, workload.DB}
-	runs := RunWorkloadMatrix(policies, []MachineSpec{spec}, loads, matrixScale())
+	runs := RunCells(MatrixCells(policies, []MachineSpec{spec}, loads, matrixScale()), matrixScale())
 	tab := MatrixTable(runs, spec, policies, loads)
 	out := tab.Render()
 	if tab.NumRows() != len(policies) {
@@ -90,7 +90,7 @@ func TestMatrixTableShape(t *testing.T) {
 func TestWorkloadDetailIncludesExtras(t *testing.T) {
 	policies := []string{Reg, O1}
 	spec := SpecByLabel("2P")
-	runs := RunWorkloadMatrix(policies, []MachineSpec{spec}, []string{workload.WakeStorm}, matrixScale())
+	runs := RunCells(MatrixCells(policies, []MachineSpec{spec}, []string{workload.WakeStorm}, matrixScale()), matrixScale())
 	tab := WorkloadDetail(runs, spec, policies, workload.WakeStorm)
 	out := tab.Render()
 	for _, want := range []string{"p50_us", "p99_us", "max_us"} {

@@ -5,8 +5,8 @@ import (
 
 	"elsc/internal/sched"
 	"elsc/internal/sched/o1"
-	"elsc/internal/sim"
 	"elsc/internal/stats"
+	"elsc/internal/workload"
 	"elsc/internal/workload/volano"
 )
 
@@ -22,15 +22,6 @@ import (
 // op at a time machine-wide) and every policy measures the same. The
 // scaled specs model the fine-grained socket locking the kernel actually
 // had by the sched_domains era, so scheduling is what differs.
-
-// forEachParallel runs n independent simulations concurrently (bounded
-// by sc.workers, as RunVolanoMatrix does) and returns results in input
-// order, so the tables stay deterministic.
-func forEachParallel(n int, sc Scale, run func(i int, eng *sim.Engine) VolanoRun) []VolanoRun {
-	out := make([]VolanoRun, n)
-	forEachIndexParallel(n, sc, func(i int, eng *sim.Engine) { out[i] = run(i, eng) })
-	return out
-}
 
 // numaVolanoConfig is the workload for the NUMA tables.
 func numaVolanoConfig(rooms int, sc Scale) volano.Config {
@@ -52,23 +43,17 @@ func Numa(spec MachineSpec, rooms int, sc Scale) *stats.Table {
 			rooms, spec.Label, domains, spec.CPUs/domains),
 		"Scheduler", "Throughput", "spin cyc/sched", "migrations", "cross-dom",
 		"remote Mcyc", "intra-steal", "cross-steal")
-	runs := forEachParallel(len(Policies), sc, func(i int, eng *sim.Engine) VolanoRun {
-		return RunVolanoConfigOn(eng, spec, Policies[i], numaVolanoConfig(rooms, sc), sc)
-	})
-	for i, policy := range Policies {
-		r := runs[i]
-		spin := 0.0
-		if r.Stats.SchedCalls > 0 {
-			spin = float64(r.Stats.SpinCycles) / float64(r.Stats.SchedCalls)
-		}
+	runs := RunCells(policyCells(spec, Policies, volanoLoad(rooms),
+		builds(workload.NewVolano, numaVolanoConfig(rooms, sc))), sc)
+	for _, r := range runs {
 		intra, cross := "-", "-"
 		if r.HasSteals {
 			intra = fmt.Sprintf("%d", r.IntraSteals)
 			cross = fmt.Sprintf("%d", r.CrossSteals)
 		}
-		t.AddRow(policy,
+		t.AddRow(r.Policy,
 			int(r.Result.Throughput),
-			int(spin),
+			int(spinPerSchedule(r.Stats)),
 			r.Stats.Migrations,
 			r.Stats.CrossDomainMigrations,
 			int(r.Stats.RemoteCycles/1_000_000),
@@ -78,21 +63,15 @@ func Numa(spec MachineSpec, rooms int, sc Scale) *stats.Table {
 	return t
 }
 
-// runO1Variant measures VolanoMark under a configured o1 scheduler on a
-// spec — the harness for the topology ablation. It shares the machine
-// construction and result harvesting with the per-policy Numa table, so
-// the ablation baseline cannot drift from what it is compared against.
-func runO1Variant(spec MachineSpec, cfg o1.Config, rooms int, sc Scale) VolanoRun {
-	m := NewMachineWith(spec, func(env *sched.Env) sched.Scheduler {
-		return o1.NewWithConfig(env, cfg)
-	}, sc)
-	return runVolanoOn(m, spec, O1, numaVolanoConfig(rooms, sc))
-}
-
-// RunO1Topology measures VolanoMark under o1 with or without domain
-// awareness — the benchmark entry point for the topology ablation.
-func RunO1Topology(spec MachineSpec, blind bool, rooms int, sc Scale) VolanoRun {
-	return runO1Variant(spec, o1.Config{TopologyBlind: blind}, rooms, sc)
+// O1TopologyCell is the topology ablation's cell: the NUMA tables'
+// VolanoMark under o1 with or without domain awareness. It shares the
+// Numa table's workload and runner, so the ablation baseline cannot
+// drift from what it is compared against.
+func O1TopologyCell(spec MachineSpec, blind bool, rooms int, sc Scale) Cell {
+	cfg := o1.Config{TopologyBlind: blind}
+	return Cell{Spec: spec, Policy: O1, Load: volanoLoad(rooms),
+		Factory: func(env *sched.Env) sched.Scheduler { return o1.NewWithConfig(env, cfg) },
+		Build:   builds(workload.NewVolano, numaVolanoConfig(rooms, sc))}
 }
 
 // AblateTopology isolates what o1's domain awareness buys on a NUMA spec:
@@ -106,15 +85,8 @@ func AblateTopology(spec MachineSpec, rooms int, sc Scale) *stats.Table {
 	t := stats.NewTable(
 		fmt.Sprintf("Ablation: o1 domain awareness (%s, %d rooms)", spec.Label, rooms),
 		"o1 variant", "Throughput", "migrations", "cross-dom", "remote Mcyc", "cache Mcyc")
-	variants := []bool{false, true}
-	runs := forEachParallel(len(variants), sc, func(i int, _ *sim.Engine) VolanoRun {
-		return runO1Variant(spec, o1.Config{TopologyBlind: variants[i]}, rooms, sc)
-	})
-	for i, blind := range variants {
-		label := "domain-aware"
-		if blind {
-			label = "topology-blind"
-		}
+	runs := RunCells([]Cell{O1TopologyCell(spec, false, rooms, sc), O1TopologyCell(spec, true, rooms, sc)}, sc)
+	for i, label := range []string{"domain-aware", "topology-blind"} {
 		r := runs[i]
 		t.AddRow(label,
 			int(r.Result.Throughput),

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"elsc/internal/sched/o1"
 )
 
 // numaTinyScale keeps the 32-processor table tests fast.
@@ -77,8 +75,8 @@ func TestDomainAwareO1BeatsBlind(t *testing.T) {
 	var awareSum, blindSum float64
 	for _, seed := range []int64{42, 7, 101} {
 		sc := Scale{Messages: 30, Seed: seed, HorizonSeconds: 600}
-		aware := runO1Variant(spec, o1.Config{}, rooms, sc)
-		blind := runO1Variant(spec, o1.Config{TopologyBlind: true}, rooms, sc)
+		runs := RunCells([]Cell{O1TopologyCell(spec, false, rooms, sc), O1TopologyCell(spec, true, rooms, sc)}, sc)
+		aware, blind := runs[0], runs[1]
 		if aware.Stats.CrossDomainMigrations*2 >= blind.Stats.CrossDomainMigrations {
 			t.Fatalf("seed %d: domain awareness did not curb cross-domain migrations: aware %d vs blind %d",
 				seed, aware.Stats.CrossDomainMigrations, blind.Stats.CrossDomainMigrations)

@@ -97,11 +97,12 @@ func RunScalingSweep(policies []string, specs []MachineSpec, loads []string, sc 
 		reference []WorkloadRun // serial runs, WallNS stripped
 		serialRef []WorkloadRun // serial runs as measured
 	)
+	cells := MatrixCells(policies, specs, loads, sc)
 	for _, rung := range rungs {
 		rsc := sc
 		rsc.Parallel = rung
 		t0 := time.Now()
-		runs := RunWorkloadMatrix(policies, specs, loads, rsc)
+		runs := RunCells(cells, rsc)
 		secs := time.Since(t0).Seconds()
 
 		var events uint64

@@ -104,8 +104,8 @@ func TestParallelSweepCPUProfileUsable(t *testing.T) {
 	// Repeat the matrix until enough wall time has passed that the
 	// 100 Hz sampler has landed samples inside worker goroutines.
 	for start := time.Now(); time.Since(start) < 700*time.Millisecond; {
-		RunWorkloadMatrix([]string{O1, ELSC}, []MachineSpec{SpecByLabel("4P")},
-			[]string{workload.DB, workload.WebServer}, sc)
+		RunCells(MatrixCells([]string{O1, ELSC}, []MachineSpec{SpecByLabel("4P")},
+			[]string{workload.DB, workload.WebServer}, sc), sc)
 	}
 	pprof.StopCPUProfile()
 	if err := f.Close(); err != nil {

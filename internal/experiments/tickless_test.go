@@ -25,8 +25,8 @@ func TestTicklessResultEquivalenceFullRegistry(t *testing.T) {
 	for _, spec := range AllSpecs {
 		for _, policy := range Policies {
 			for _, load := range workload.Names() {
-				ron := RunWorkloadCell(spec, policy, load, on)
-				roff := RunWorkloadCell(spec, policy, load, off)
+				ron := RunCells([]Cell{RegistryCell(spec, policy, load, on)}, on)[0]
+				roff := RunCells([]Cell{RegistryCell(spec, policy, load, off)}, off)[0]
 				if !reflect.DeepEqual(ron.Result, roff.Result) {
 					t.Errorf("%s: results diverge:\n  on:  %+v\n  off: %+v",
 						ron.Key(), ron.Result, roff.Result)
@@ -81,8 +81,8 @@ func TestTicklessEventReductionAtScale(t *testing.T) {
 	spec := SpecByLabel("32P-NUMA")
 	const tickCost = 500 // sched.DefaultCost().TickCost
 	for _, load := range []string{workload.WakeStorm, workload.WebServer, workload.DB} {
-		ron := RunWorkloadCell(spec, O1, load, on)
-		roff := RunWorkloadCell(spec, O1, load, off)
+		ron := RunCells([]Cell{RegistryCell(spec, O1, load, on)}, on)[0]
+		roff := RunCells([]Cell{RegistryCell(spec, O1, load, off)}, off)[0]
 		if !reflect.DeepEqual(ron.Result, roff.Result) {
 			t.Errorf("%s: results diverge across tickless modes", ron.Key())
 		}

@@ -66,7 +66,7 @@ func TestBacklogPredicateMatchesReferenceOnRegistry(t *testing.T) {
 		for _, policy := range experiments.Policies {
 			for _, load := range workload.Names() {
 				t.Run(fmt.Sprintf("%s/%s/%s", label, policy, load), func(t *testing.T) {
-					m := experiments.NewMachine(spec, policy, sc)
+					m := experiments.NewMachine(spec, experiments.Factory(policy), sc, nil)
 					inst := workload.Build(load, m, experiments.WorkloadParams(spec, sc))
 					stepChecked(t, m, inst.Done, nil)
 				})
@@ -88,7 +88,7 @@ func TestBacklogPredicateMatchesReferenceOnMixedScenario(t *testing.T) {
 		spec := experiments.SpecByLabel(label)
 		for _, policy := range experiments.Policies {
 			t.Run(fmt.Sprintf("%s/%s", label, policy), func(t *testing.T) {
-				m := experiments.NewMachine(spec, policy, experiments.QuickScale())
+				m := experiments.NewMachine(spec, experiments.Factory(policy), experiments.QuickScale(), nil)
 				var hogs, pinned []*kernel.Proc
 				for i := 0; i < spec.CPUs+8; i++ {
 					hogs = append(hogs, m.Spawn(fmt.Sprintf("hog%d", i), nil, hog(40, 2*kernel.DefaultTickCycles)))

@@ -56,8 +56,8 @@ func TestLatencyInvariantProbeBeatsHogQuanta(t *testing.T) {
 			label, policy := label, policy
 			t.Run(fmt.Sprintf("%s/%s", label, policy), func(t *testing.T) {
 				t.Parallel()
-				r := experiments.RunWorkloadCell(
-					experiments.SpecByLabel(label), policy, workload.Latency, latencyScale())
+				cell := experiments.RegistryCell(experiments.SpecByLabel(label), policy, workload.Latency, latencyScale())
+				r := experiments.RunCells([]experiments.Cell{cell}, latencyScale())[0]
 				if !r.Result.Complete || r.Result.Ops == 0 {
 					t.Fatalf("latency run incomplete (ops=%d)", r.Result.Ops)
 				}
@@ -86,8 +86,8 @@ func TestLatencyInvariantWakeStormTail(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", label, policy), func(t *testing.T) {
 				t.Parallel()
 				sc := latencyScale()
-				r := experiments.RunWorkloadCell(
-					experiments.SpecByLabel(label), policy, workload.WakeStorm, sc)
+				cell := experiments.RegistryCell(experiments.SpecByLabel(label), policy, workload.WakeStorm, sc)
+				r := experiments.RunCells([]experiments.Cell{cell}, sc)[0]
 				if !r.Result.Complete {
 					t.Fatal("wake storm did not complete")
 				}

@@ -29,12 +29,17 @@ const (
 // raced against every policy and held to the same completion and
 // determinism bar.
 var Registry = []Workload{
-	{Name: Volano, Description: "VolanoMark chat: thread herds, yield locks, loopback ping-pong", Build: buildVolano},
-	{Name: KBuild, Description: "make -j4 kernel compile: light-load control", Build: buildKBuild},
-	{Name: WebServer, Description: "Apache-style process-per-connection web serving", Build: buildWebserver},
-	{Name: Latency, Description: "steady wake-to-dispatch latency probes under hog load", Build: buildLatency},
-	{Name: DB, Description: "syscall-heavy OLTP: lock stripes, buffer pool, WAL, checkpoints", Build: buildDB},
-	{Name: WakeStorm, Description: "synchronized mass wake-ups: wakeup-to-run tail latency", Build: buildWakeStorm},
+	{Name: Volano, Description: "VolanoMark chat: thread herds, yield locks, loopback ping-pong", Build: builder(volanoConfig, NewVolano)},
+	{Name: KBuild, Description: "make -j4 kernel compile: light-load control", Build: builder(KBuildConfig, NewKBuild)},
+	{Name: WebServer, Description: "Apache-style process-per-connection web serving", Build: builder(WebServerConfig, NewWebServer)},
+	{Name: Latency, Description: "steady wake-to-dispatch latency probes under hog load", Build: builder(latencyConfig, NewLatency)},
+	{Name: DB, Description: "syscall-heavy OLTP: lock stripes, buffer pool, WAL, checkpoints", Build: builder(dbConfig, NewDB)},
+	{Name: WakeStorm, Description: "synchronized mass wake-ups: wakeup-to-run tail latency", Build: builder(wakeStormConfig, NewWakeStorm)},
+}
+
+// builder joins a workload's Params mapping to its adapter.
+func builder[C any](config func(Params) C, adapter func(*kernel.Machine, C) Instance) Builder {
+	return func(m *kernel.Machine, p Params) Instance { return adapter(m, config(p)) }
 }
 
 // Names returns the registered workload names in registry order.
@@ -84,10 +89,10 @@ func throughput(ops uint64, secs float64) float64 {
 	return float64(ops) / secs
 }
 
-// buildVolano maps Params onto the chat benchmark: Work is messages per
-// user, Quick shrinks the rooms, ScalableStack swaps in the post-2.3
+// volanoConfig maps Params onto the chat benchmark: Work is messages
+// per user, Quick shrinks the rooms, ScalableStack swaps in the post-2.3
 // socket costs.
-func buildVolano(m *kernel.Machine, p Params) Instance {
+func volanoConfig(p Params) volano.Config {
 	cfg := volano.Config{MessagesPerUser: p.Work}
 	if p.Quick {
 		cfg.Rooms = 2
@@ -96,6 +101,12 @@ func buildVolano(m *kernel.Machine, p Params) Instance {
 	if p.ScalableStack {
 		cfg.Costs = volano.ScalableStackCosts()
 	}
+	return cfg
+}
+
+// NewVolano builds a VolanoMark run of cfg on m. Extras: threads,
+// lock_spins.
+func NewVolano(m *kernel.Machine, cfg volano.Config) Instance {
 	b := volano.Build(m, cfg)
 	return instance{done: b.Done, run: func() Result {
 		r := b.Run()
@@ -115,14 +126,19 @@ func buildVolano(m *kernel.Machine, p Params) Instance {
 	}}
 }
 
-// buildKBuild maps Params onto the compile: the build's size is the
+// KBuildConfig maps Params onto the compile: the build's size is the
 // experiment (Table 2's fixed tree), so Work is ignored and Quick selects
 // a proportionally shrunken tree.
-func buildKBuild(m *kernel.Machine, p Params) Instance {
-	var cfg kbuild.Config
+func KBuildConfig(p Params) kbuild.Config {
 	if p.Quick {
-		cfg = kbuild.Config{Units: 32, MeanCompile: 20_000_000, MeanIO: 200_000}
+		return kbuild.Config{Units: 32, MeanCompile: 20_000_000, MeanIO: 200_000}
 	}
+	return kbuild.Config{}
+}
+
+// NewKBuild builds a kernel compile of cfg on m. Extras: jobs,
+// build_seconds.
+func NewKBuild(m *kernel.Machine, cfg kbuild.Config) Instance {
 	b := kbuild.New(m, cfg)
 	return instance{done: b.Done, run: func() Result {
 		r := b.Run()
@@ -142,14 +158,19 @@ func buildKBuild(m *kernel.Machine, p Params) Instance {
 	}}
 }
 
-// buildWebserver maps Params onto the open-loop web workload: Quick
+// WebServerConfig maps Params onto the open-loop web workload: Quick
 // shrinks the request count; the offered load is the experiment, so Work
 // is ignored.
-func buildWebserver(m *kernel.Machine, p Params) Instance {
-	var cfg webserver.Config
+func WebServerConfig(p Params) webserver.Config {
 	if p.Quick {
-		cfg = webserver.Config{Requests: 2000}
+		return webserver.Config{Requests: 2000}
 	}
+	return webserver.Config{}
+}
+
+// NewWebServer builds a web-serving run of cfg on m. Extras: dropped,
+// mean_lat_ms, max_lat_ms.
+func NewWebServer(m *kernel.Machine, cfg webserver.Config) Instance {
 	s := webserver.New(m, cfg)
 	return instance{done: s.Done, run: func() Result {
 		r := s.Run()
@@ -170,18 +191,24 @@ func buildWebserver(m *kernel.Machine, p Params) Instance {
 	}}
 }
 
-// buildLatency maps Params onto the steady-state probe workload: Work is
-// wakes per probe, Quick shrinks the wake count. The matrix cell runs
+// latencyConfig maps Params onto the steady-state probe workload: Work
+// is wakes per probe, Quick shrinks the wake count. The matrix cell runs
 // nice-0 probes (the same static priority as the hogs) — the regime the
 // 2.5 interactivity estimator was built for, where only a scheduler's
-// dynamic priority can tell an interactive task from a CPU hog. Direct
-// users of the latency package keep its max-priority default, which
+// dynamic priority can tell an interactive task from a CPU hog. A zero
+// latency.Config keeps the package's max-priority default, which
 // isolates the raw wake path instead.
-func buildLatency(m *kernel.Machine, p Params) Instance {
+func latencyConfig(p Params) latency.Config {
 	cfg := latency.Config{WakesPerProbe: p.Work, ProbePriority: task.DefaultPriority}
 	if p.Quick && p.Work == 0 {
 		cfg.WakesPerProbe = 50
 	}
+	return cfg
+}
+
+// NewLatency builds a latency-probe run of cfg on m. Extras: hogs,
+// mean_us, p99_us, max_us.
+func NewLatency(m *kernel.Machine, cfg latency.Config) Instance {
 	pr := latency.New(m, cfg)
 	return instance{done: pr.Done, run: func() Result {
 		start := m.Now()
@@ -206,9 +233,9 @@ func buildLatency(m *kernel.Machine, p Params) Instance {
 	}}
 }
 
-// buildDB maps Params onto the OLTP workload: Work is transactions per
+// dbConfig maps Params onto the OLTP workload: Work is transactions per
 // client, Quick shrinks the connection pool.
-func buildDB(m *kernel.Machine, p Params) Instance {
+func dbConfig(p Params) db.Config {
 	cfg := db.Config{TxnsPerClient: p.Work}
 	if p.Quick {
 		cfg.Clients = 8
@@ -216,6 +243,12 @@ func buildDB(m *kernel.Machine, p Params) Instance {
 			cfg.TxnsPerClient = 50
 		}
 	}
+	return cfg
+}
+
+// NewDB builds an OLTP run of cfg on m. Extras: mean_txn_us, p99_txn_us,
+// lock_spins, lock_blocked, wal_waits.
+func NewDB(m *kernel.Machine, cfg db.Config) Instance {
 	d := db.New(m, cfg)
 	return instance{done: d.Done, run: func() Result {
 		r := d.Run()
@@ -238,9 +271,9 @@ func buildDB(m *kernel.Machine, p Params) Instance {
 	}}
 }
 
-// buildWakeStorm maps Params onto the mass-wakeup benchmark: Work is the
-// storm count, Quick shrinks the herd.
-func buildWakeStorm(m *kernel.Machine, p Params) Instance {
+// wakeStormConfig maps Params onto the mass-wakeup benchmark: Work is
+// the storm count, Quick shrinks the herd.
+func wakeStormConfig(p Params) latency.StormConfig {
 	cfg := latency.StormConfig{Storms: p.Work}
 	if p.Quick {
 		cfg.Waiters = 16
@@ -248,6 +281,12 @@ func buildWakeStorm(m *kernel.Machine, p Params) Instance {
 			cfg.Storms = 30
 		}
 	}
+	return cfg
+}
+
+// NewWakeStorm builds a mass-wakeup run of cfg on m. Extras: waiters,
+// storms, mean_us, p50_us, p99_us, max_us.
+func NewWakeStorm(m *kernel.Machine, cfg latency.StormConfig) Instance {
 	st := latency.NewStorm(m, cfg)
 	return instance{done: st.Done, run: func() Result {
 		r := st.Run()

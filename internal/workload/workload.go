@@ -5,9 +5,12 @@
 // benchmark) registers a named Builder, builds an Instance on any
 // kernel.Machine, and reports a common Result — a throughput metric in a
 // workload-declared unit, a completion flag, and ordered per-workload
-// extras. The experiments harness and cmd/sweep drive policy × workload ×
-// machine matrices through this registry, so adding a scenario is one
-// adapter in registry.go rather than a cross-cutting change.
+// extras. Each registry entry is two halves: a mapping from Params to the
+// workload package's Config, and an exported adapter from that Config to
+// an Instance. The experiments harness and cmd/sweep drive policy ×
+// workload × machine matrices through the registry, and the figures and
+// commands that size a workload themselves call the adapters, so adding a
+// scenario is one pair in registry.go rather than a cross-cutting change.
 package workload
 
 import (
@@ -15,11 +18,11 @@ import (
 )
 
 // Params carries the cross-workload sizing knobs the registry understands.
-// Each workload maps them onto its own Config; knobs a workload has no use
-// for are ignored (kbuild's build size, for instance, does not scale with
-// Work). Callers that need a workload's full Config should use the
-// workload package directly — the registry is the uniform entry, not the
-// only one.
+// Each workload maps them onto its own Config (KBuildConfig,
+// WebServerConfig, ...); knobs a workload has no use for are ignored (kbuild's build size,
+// for instance, does not scale with Work). Callers that need a workload's
+// full Config pass it to the workload's adapter (NewVolano, NewKBuild,
+// ...) instead, and get back the same Instance and Result.
 type Params struct {
 	// Work is the primary per-actor operation count: messages per user
 	// (volano), transactions per client (db), wakes per probe (latency),
